@@ -36,7 +36,7 @@ void
 DistributedOrg::finishWithWalk(CoreId walk_core, CoreId requester,
                                CoreId slice, ContextId ctx, Addr vaddr,
                                Cycle start, Cycle now, bool ecc,
-                               TranslationDone done)
+                               TranslationDone &&done)
 {
     launchWalk(
         walk_core, requester, ctx, vaddr, start,

@@ -107,7 +107,7 @@ class DistributedOrg : public TlbOrganization
   private:
     void finishWithWalk(CoreId walk_core, CoreId requester, CoreId slice,
                         ContextId ctx, Addr vaddr, Cycle start, Cycle now,
-                        bool ecc, TranslationDone done);
+                        bool ecc, TranslationDone &&done);
 
     noc::GridTopology topo_;
     std::unique_ptr<noc::Network> network_;

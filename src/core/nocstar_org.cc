@@ -55,7 +55,7 @@ NocstarOrg::NocstarOrg(const OrgConfig &config, OrgContext context,
 void
 NocstarOrg::respondHit(CoreId core, CoreId slice, tlb::TlbEntry entry,
                        Cycle lookup_done, Cycle now, bool degraded,
-                       TranslationDone done)
+                       TranslationDone &&done)
 {
     auto complete = [this, core, slice, entry, now, degraded,
                      done = std::move(done)](Cycle arrival) mutable {
@@ -90,7 +90,7 @@ void
 NocstarOrg::finishWithWalk(CoreId walk_core, CoreId requester,
                            CoreId slice, ContextId ctx, Addr vaddr,
                            Cycle start, Cycle now, bool ecc,
-                           bool degraded, TranslationDone done)
+                           bool degraded, TranslationDone &&done)
 {
     launchWalk(
         walk_core, requester, ctx, vaddr, start,
@@ -157,7 +157,7 @@ NocstarOrg::finishWithWalk(CoreId walk_core, CoreId requester,
 void
 NocstarOrg::handleMiss(CoreId core, CoreId slice, ContextId ctx,
                        Addr vaddr, Cycle lookup_done, Cycle now,
-                       bool ecc, bool degraded, TranslationDone done)
+                       bool ecc, bool degraded, TranslationDone &&done)
 {
     if (config_.ptwPlacement == PtwPlacement::Remote || slice == core) {
         finishWithWalk(slice, core, slice, ctx, vaddr, lookup_done, now,

@@ -123,16 +123,16 @@ class NocstarOrg : public TlbOrganization
      */
     void respondHit(CoreId core, CoreId slice, tlb::TlbEntry entry,
                     Cycle lookup_done, Cycle now, bool degraded,
-                    TranslationDone done);
+                    TranslationDone &&done);
 
     /** Continue after a slice miss per the walk-placement policy. */
     void handleMiss(CoreId core, CoreId slice, ContextId ctx, Addr vaddr,
                     Cycle lookup_done, Cycle now, bool ecc, bool degraded,
-                    TranslationDone done);
+                    TranslationDone &&done);
 
     void finishWithWalk(CoreId walk_core, CoreId requester, CoreId slice,
                         ContextId ctx, Addr vaddr, Cycle start, Cycle now,
-                        bool ecc, bool degraded, TranslationDone done);
+                        bool ecc, bool degraded, TranslationDone &&done);
 
     noc::GridTopology topo_;
     std::unique_ptr<Interconnect> fabric_;

@@ -304,21 +304,4 @@ EventQueue::runOneCycle()
     processCycle(head);
 }
 
-void
-EventQueue::scheduleLambda(Cycle when, SimCallback fn,
-                           Event::Priority prio)
-{
-    PooledLambdaEvent *ev;
-    if (!lambdaFree_.empty()) {
-        ev = lambdaFree_.back();
-        lambdaFree_.pop_back();
-    } else {
-        ev = new PooledLambdaEvent(this);
-        lambdaAll_.push_back(ev);
-    }
-    ev->fn_ = std::move(fn);
-    ev->_priority = prio;
-    schedule(ev, when);
-}
-
 } // namespace nocstar

@@ -79,10 +79,12 @@ class Event
 
 /**
  * One-shot simulation callback. The capacity covers the largest
- * continuation chain on the per-access path (a fabric delivery
- * carrying an organization continuation that itself owns the
- * requester's completion callback); outgrowing it is a compile error,
- * never a heap allocation.
+ * callable scheduled on the per-access path: a walk completion
+ * carrying the walk result and the organization's WalkDone
+ * continuation, which owns the requester's completion callback.
+ * (Fabric deliveries do not pass through here: their continuations
+ * live in the Interconnect's pooled messages.) Outgrowing it is a
+ * compile error, never a heap allocation.
  */
 using SimCallback = InlineFunction<void(), 256>;
 
@@ -184,13 +186,23 @@ class EventQueue
 
     /**
      * Schedule a one-shot callback; the queue owns the event's
-     * lifetime. The backing events come from a free-list pool, so a
-     * steady-state simulation stops allocating per message: once the
-     * pool has grown to the peak number of in-flight callbacks, every
-     * subsequent call reuses a recycled event.
+     * lifetime. @p fn is moved (an lvalue: copied) once, straight
+     * into a pooled event, and runs there in place. The backing
+     * events come from a free-list pool, so a steady-state simulation
+     * stops allocating per message: once the pool has grown to the
+     * peak number of in-flight callbacks, every subsequent call reuses
+     * a recycled event.
      */
-    void scheduleLambda(Cycle when, SimCallback fn,
-                        Event::Priority prio = Event::defaultPriority);
+    template <typename F>
+    void
+    scheduleLambda(Cycle when, F &&fn,
+                   Event::Priority prio = Event::defaultPriority)
+    {
+        PooledLambdaEvent *ev = acquireLambdaEvent();
+        ev->fn_ = std::forward<F>(fn);
+        ev->_priority = prio;
+        schedule(ev, when);
+    }
 
     /** Pooled lambda events currently awaiting reuse (test hook). */
     std::size_t freeLambdaEvents() const { return lambdaFree_.size(); }
@@ -256,9 +268,11 @@ class EventQueue
 
     /**
      * A recyclable one-shot callback event owned by the queue. On
-     * process() it releases itself back to the owner's free list
-     * before running the callback, so the callback itself may
-     * immediately reacquire (and reschedule) the same object.
+     * process() it runs the callback in place and only then destroys
+     * it and returns itself to the owner's free list -- also when the
+     * callback throws, as panic() and fatal() do. A callback that
+     * schedules another lambda therefore draws a second event, and a
+     * self-rescheduling chain alternates between two.
      */
     class PooledLambdaEvent : public Event
     {
@@ -268,9 +282,16 @@ class EventQueue
         void
         process() override
         {
-            SimCallback fn = std::move(fn_);
-            owner_->lambdaFree_.push_back(this);
-            fn();
+            struct Recycle
+            {
+                PooledLambdaEvent *ev;
+                ~Recycle()
+                {
+                    ev->fn_ = nullptr;
+                    ev->owner_->lambdaFree_.push_back(ev);
+                }
+            } recycle{this};
+            fn_();
         }
 
       private:
@@ -279,6 +300,19 @@ class EventQueue
         EventQueue *owner_;
         SimCallback fn_;
     };
+
+    /** A free pooled event, or a newly allocated one. */
+    PooledLambdaEvent *
+    acquireLambdaEvent()
+    {
+        if (lambdaFree_.empty()) {
+            lambdaAll_.push_back(new PooledLambdaEvent(this));
+            return lambdaAll_.back();
+        }
+        PooledLambdaEvent *ev = lambdaFree_.back();
+        lambdaFree_.pop_back();
+        return ev;
+    }
 
     /** Per-cycle buckets for events within the wheel horizon. */
     std::vector<std::vector<WheelRecord>> wheel_{wheelSize};

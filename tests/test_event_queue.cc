@@ -8,8 +8,11 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "tests/move_counter.hh"
 
 using namespace nocstar;
+using nocstar::test::MoveCounter;
+using nocstar::test::MoveLog;
 
 namespace
 {
@@ -192,8 +195,10 @@ TEST(EventQueue, ManyLambdaEventsAreReaped)
 TEST(EventQueue, PooledLambdaEventsAreReused)
 {
     // A steady-state message chain (each delivery schedules the next)
-    // must recycle a single pooled event instead of allocating one
-    // per scheduleLambda call.
+    // must stop growing the pool instead of allocating one event per
+    // scheduleLambda call. A callback runs in place and its event is
+    // recycled only after it returns, so the chain alternates between
+    // exactly two events.
     EventQueue queue;
     std::uint64_t count = 0;
     std::function<void()> chain = [&] {
@@ -203,8 +208,60 @@ TEST(EventQueue, PooledLambdaEventsAreReused)
     queue.scheduleLambda(0, chain);
     queue.run();
     EXPECT_EQ(count, 1000u);
+    EXPECT_EQ(queue.allocatedLambdaEvents(), 2u);
+    EXPECT_EQ(queue.freeLambdaEvents(), 2u);
+}
+
+TEST(EventQueue, ScheduledLambdaIsBuiltInPlaceAndRunOnce)
+{
+    // The callable moves once, into its pooled event, and runs there:
+    // nothing relocates it between scheduleLambda() and dispatch.
+    MoveLog log;
+    {
+        EventQueue queue;
+        queue.scheduleLambda(3, MoveCounter{&log});
+        EXPECT_LE(log.moves, 1);
+        EXPECT_EQ(log.calls, 0);
+        queue.run();
+        EXPECT_EQ(log.calls, 1);
+        EXPECT_EQ(log.destroyed, 1);
+        EXPECT_LE(log.moves, 1);
+        EXPECT_EQ(log.live, 0);
+    }
+    // A callable still pending at teardown is destroyed, never run.
+    MoveLog pending;
+    {
+        EventQueue queue;
+        queue.scheduleLambda(100, MoveCounter{&pending});
+        queue.run(50);
+    }
+    EXPECT_EQ(pending.calls, 0);
+    EXPECT_EQ(pending.destroyed, 1);
+    EXPECT_EQ(pending.live, 0);
+}
+
+TEST(EventQueue, ThrowingLambdaIsStillRecycled)
+{
+    // panic() throws; the event must still return to the pool with its
+    // callable destroyed, and the queue must keep working.
+    EventQueue queue;
+    MoveLog log;
+    queue.scheduleLambda(1, [counter = MoveCounter{&log}]() mutable {
+        counter();
+        panic("callback failed");
+    });
+    EXPECT_THROW(queue.run(), PanicError);
+    EXPECT_EQ(log.calls, 1);
+    EXPECT_EQ(log.destroyed, 1);
+    EXPECT_EQ(log.live, 0);
     EXPECT_EQ(queue.allocatedLambdaEvents(), 1u);
     EXPECT_EQ(queue.freeLambdaEvents(), 1u);
+
+    int after = 0;
+    queue.scheduleLambda(2, [&] { ++after; });
+    queue.run();
+    EXPECT_EQ(after, 1);
+    EXPECT_EQ(queue.allocatedLambdaEvents(), 1u);
 }
 
 TEST(EventQueue, FarFutureEventSurvivesLimitedRun)

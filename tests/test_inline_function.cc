@@ -181,9 +181,10 @@ TEST(InlineFunction, ReassignmentReplacesCallable)
 
 TEST(InlineFunction, SelfRescheduleFromInsideCallback)
 {
-    // A pooled lambda event releases itself before running its
-    // callback, so the callback may immediately schedule again through
-    // the same pool -- the pattern every step/retry loop relies on.
+    // A callback may schedule again through the pool it is running
+    // from -- the pattern every step/retry loop relies on. It runs in
+    // place, so the new event is a second one; its own event returns
+    // to the pool once it has run.
     EventQueue queue;
     std::size_t count = 0;
     struct Chain
@@ -201,7 +202,7 @@ TEST(InlineFunction, SelfRescheduleFromInsideCallback)
     queue.scheduleLambda(1, Chain{&queue, &count});
     queue.run();
     EXPECT_EQ(count, 4u);
-    // Steady-state: the chain reused one pooled event, not four.
+    // Steady-state: the chain alternated between two pooled events.
     EXPECT_EQ(queue.allocatedLambdaEvents(), queue.freeLambdaEvents());
     EXPECT_LE(queue.allocatedLambdaEvents(), 2u);
 }

@@ -20,9 +20,12 @@
 #include "cpu/system.hh"
 #include "sim/parallel.hh"
 #include "sim/random.hh"
+#include "tests/move_counter.hh"
 
 using namespace nocstar;
 using namespace nocstar::core;
+using nocstar::test::MoveCounter;
+using nocstar::test::MoveLog;
 
 namespace
 {
@@ -148,6 +151,185 @@ TEST(InterconnectSeam, OnDemandPathsMatchTopologyPastTableCap)
     h.fabric.send(0, 1023, 10, [&](Cycle at) { delivered = at; });
     h.queue.run();
     EXPECT_NE(delivered, invalidCycle);
+}
+
+// ---------------------------------------------------------------------
+// Continuations: built once inside a pooled message, run in place.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Plan cutting every output link of @p tile from cycle 0 on. */
+sim::FaultPlan
+isolateTile(CoreId tile)
+{
+    sim::FaultPlan plan;
+    for (auto dir : {noc::Direction::East, noc::Direction::West,
+                     noc::Direction::North, noc::Direction::South})
+        plan.linkFaults.push_back({noc::LinkId{tile, dir}.flatten(), 0, 0});
+    return plan;
+}
+
+/** The callable ran once, moved at most once and was destroyed once. */
+void
+expectDeliveredOnce(const MoveLog &log)
+{
+    EXPECT_EQ(log.calls, 1);
+    EXPECT_LE(log.moves, 1);
+    EXPECT_EQ(log.destroyed, 1);
+    EXPECT_EQ(log.live, 0);
+}
+
+} // namespace
+
+TEST(InterconnectContinuation, OneWayMovesAtMostOnce)
+{
+    InterconnectHarness h(16);
+    MoveLog log;
+    h.fabric.send(0, 15, 10, MoveCounter{&log});
+    EXPECT_LE(log.moves, 1);
+    EXPECT_EQ(log.calls, 0);
+    h.queue.run();
+    expectDeliveredOnce(log);
+}
+
+TEST(InterconnectContinuation, RoundTripMovesAtMostOnce)
+{
+    InterconnectHarness h(16);
+    MoveLog log;
+    h.fabric.sendRoundTrip(0, 5, 10, 8, MoveCounter{&log});
+    h.queue.run();
+    expectDeliveredOnce(log);
+}
+
+TEST(InterconnectContinuation, LocalDeliversInlineWithoutMoving)
+{
+    InterconnectHarness h(16);
+    MoveLog log;
+    h.fabric.send(3, 3, 17, MoveCounter{&log});
+    EXPECT_EQ(log.calls, 1); // before the queue ever runs
+    EXPECT_EQ(log.moves, 0);
+    EXPECT_EQ(log.destroyed, 1);
+    EXPECT_EQ(log.live, 0);
+    EXPECT_EQ(h.fabric.allocatedMessages(), 0u);
+}
+
+TEST(InterconnectContinuation, DegradedMeshPathMovesAtMostOnce)
+{
+    sim::FaultPlan plan = isolateTile(9);
+    FabricConfig cfg;
+    cfg.faults = &plan;
+    InterconnectHarness h(16, cfg);
+    MoveLog log;
+    bool degraded = false;
+    h.fabric.send(9, 10, 20,
+                  [counter = MoveCounter{&log}, &h,
+                   &degraded](Cycle) mutable {
+                      counter();
+                      degraded = h.fabric.deliveredDegraded();
+                  });
+    h.queue.run();
+    expectDeliveredOnce(log);
+    EXPECT_TRUE(degraded);
+    EXPECT_FALSE(h.fabric.deliveredDegraded());
+    EXPECT_DOUBLE_EQ(h.fabric.degradedMessages.value(), 1.0);
+}
+
+TEST(InterconnectContinuation, MessagePoolStopsGrowing)
+{
+    // A closed loop keeping one message in flight per source reuses
+    // its pooled messages: the pool holds the in-flight peak plus the
+    // message being delivered, however long the loop runs.
+    InterconnectHarness h(16);
+    std::uint64_t delivered = 0;
+    struct Loop
+    {
+        InterconnectHarness *h;
+        std::uint64_t *delivered;
+        CoreId src;
+
+        void
+        operator()(Cycle at)
+        {
+            if (++*delivered >= 4000)
+                return;
+            h->fabric.send(src, static_cast<CoreId>((src + 5) % 16), at,
+                           Loop{*this});
+        }
+    };
+    for (CoreId src = 0; src < 4; ++src)
+        h.fabric.send(src, static_cast<CoreId>(src + 8), 0,
+                      Loop{&h, &delivered, src});
+    h.queue.run();
+    EXPECT_GE(delivered, 4000u);
+    EXPECT_LE(h.fabric.allocatedMessages(), 5u);
+}
+
+// ---------------------------------------------------------------------
+// Lifetimes: teardown mid-run and throwing continuations.
+// ---------------------------------------------------------------------
+
+TEST(InterconnectLifetime, TeardownWithQueuedAndInFlightMessages)
+{
+    // Destroy a fabric, then its queue, after run(limit) stopped with
+    // two messages in flight (granted, scheduled for their arrival)
+    // and five still queued behind the first: every continuation is
+    // destroyed exactly once without running, and no scheduled event
+    // outlives its owner.
+    MoveLog log;
+    MoveLog lambda_log;
+    {
+        auto queue = std::make_unique<EventQueue>();
+        FabricConfig cfg;
+        cfg.hpcMax = 1; // 0 -> 15 takes 6 traversal cycles
+        std::unique_ptr<Interconnect> fabric = makeInterconnect(
+            "fabric", *queue, noc::GridTopology::forCores(16), cfg);
+        for (int i = 0; i < 6; ++i)
+            fabric->send(0, 15, 5, MoveCounter{&log});
+        fabric->sendRoundTrip(12, 3, 5, 4, MoveCounter{&log});
+        queue->scheduleLambda(1000, MoveCounter{&lambda_log});
+        queue->run(8);
+        EXPECT_EQ(log.calls, 0);
+        EXPECT_GE(queue->size(), 3u); // two arrivals + the pending lambda
+        fabric.reset();
+        queue.reset();
+    }
+    EXPECT_EQ(log.calls, 0);
+    EXPECT_EQ(log.destroyed, 7);
+    EXPECT_EQ(log.live, 0);
+    EXPECT_EQ(lambda_log.calls, 0);
+    EXPECT_EQ(lambda_log.destroyed, 1);
+    EXPECT_EQ(lambda_log.live, 0);
+}
+
+TEST(InterconnectLifetime, ThrowingContinuationIsRecycled)
+{
+    // panic() inside a delivery propagates out of run(); the message
+    // still returns to the pool with its continuation destroyed, the
+    // degraded flag drops, and the fabric keeps working.
+    sim::FaultPlan plan = isolateTile(9);
+    FabricConfig cfg;
+    cfg.faults = &plan;
+    InterconnectHarness h(16, cfg);
+    MoveLog log;
+    h.fabric.send(9, 10, 20,
+                  [counter = MoveCounter{&log}](Cycle) mutable {
+                      counter();
+                      panic("delivery failed");
+                  });
+    EXPECT_THROW(h.queue.run(), PanicError);
+    EXPECT_EQ(log.calls, 1);
+    EXPECT_EQ(log.destroyed, 1);
+    EXPECT_EQ(log.live, 0);
+    EXPECT_FALSE(h.fabric.deliveredDegraded());
+
+    Cycle delivered = invalidCycle;
+    h.fabric.send(0, 3, h.queue.curCycle(),
+                  [&](Cycle at) { delivered = at; });
+    h.queue.run();
+    EXPECT_NE(delivered, invalidCycle);
+    EXPECT_EQ(h.fabric.allocatedMessages(), 1u);
 }
 
 TEST(InterconnectSeam, GrantWaitHistogramsAreOptIn)
