@@ -18,7 +18,7 @@ import sys
 import tempfile
 
 PAIRS = 9
-ACCESSES = 20000
+ACCESSES = 80000
 FLOOR = 0.9
 
 

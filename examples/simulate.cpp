@@ -22,7 +22,6 @@
 #include "bench/bench_common.hh"
 #include "cpu/system.hh"
 #include "sim/fault.hh"
-#include "sim/parallel.hh"
 #include "sim/trace_recorder.hh"
 
 using namespace nocstar;
@@ -67,7 +66,6 @@ main(int argc, char **argv)
     bool no_superpages = false;
     bool storm = false;
     bool dump_stats = false;
-    bool shards_auto = false;
     bool do_trace = false;
     std::string trace_out = "simulate_trace.json";
 
@@ -88,8 +86,12 @@ main(int argc, char **argv)
     parser.option("workload", &workload_name,
                   "one of the 11 paper workloads (default graph500)",
                   "NAME");
-    parser.option("accesses", &accesses,
-                  "accesses per thread (default 20000)");
+    parser.option(
+        "accesses",
+        [&accesses](const std::string &value) {
+            return bench::parseUnsigned(value, accesses) && accesses > 0;
+        },
+        "accesses per thread, >= 1 (default 20000)", "N");
     parser.option("threads", &threads, "app threads (default = cores)");
     parser.option("smt", &config.smtPerCore,
                   "SMT slots per core (default 1)");
@@ -152,22 +154,6 @@ main(int argc, char **argv)
     parser.option("fixed-ptw", &config.walker.fixedLatency,
                   "fixed walk latency in cycles (default variable)");
     parser.option("seed", &config.seed, "random seed (default 1)");
-    parser.option(
-        "shards",
-        [&config, &shards_auto](const std::string &value) {
-            if (value == "auto") {
-                shards_auto = true;
-                return true;
-            }
-            std::uint64_t n = 0;
-            if (!bench::parseUnsigned(value, n) || n < 1)
-                return false;
-            config.shards = static_cast<unsigned>(n);
-            return true;
-        },
-        "run on N >= 1 parallel shards (window engine; byte-identical "
-        "results at every N), or 'auto' to pick N from the core count "
-        "and host hardware", "N");
     parser.option(
         "hotspot",
         [&config](const std::string &value) {
@@ -284,11 +270,6 @@ main(int argc, char **argv)
         config.stormRemapInterval = 5000;
     }
 
-    if (shards_auto)
-        // Resolved after --cores is known; a single run has no sweep
-        // jobs competing for the hardware budget.
-        config.shards = sim::autoShards(config.org.numCores);
-
     config.org.banks = config.org.numCores >= 64 ? 8 : 4;
     cpu::AppConfig app{workload::findWorkload(workload_name),
                        threads ? threads : config.org.numCores};
@@ -327,7 +308,7 @@ main(int argc, char **argv)
     std::printf("org                 : %s\n",
                 core::orgKindName(config.org.kind));
     std::printf("cores / threads     : %u / %u\n", config.org.numCores,
-                config.apps[0].threads * config.smtPerCore);
+                config.apps[0].threads);
     std::printf("cycles (max / mean) : %llu / %.0f\n",
                 static_cast<unsigned long long>(result.cycles),
                 result.meanCycles);

@@ -17,11 +17,9 @@
  * few cycles) and the per-link occupancy heatmap.
  *
  * Exits nonzero unless the captured trace actually contains
- * translation spans and fabric link spans, so CI can run this as a
- * smoke test of the whole observability layer. A second leg re-runs
- * the system on the sharded window engine (--shards 2 equivalent)
- * with counter sampling on and requires shard-phase spans (phase A /
- * B1 / B2) and counter-track samples in the capture.
+ * translation spans, fabric link spans, walker spans and counter-track
+ * samples, so CI can run this as a smoke test of the whole
+ * observability layer.
  */
 
 #include <cstdio>
@@ -48,7 +46,8 @@ main(int argc, char **argv)
     sim::TraceRecorder::global().start();
 
     // 2. Configure a small NOCSTAR system: one app, 16 threads on
-    //    16 cores, epoch snapshots every 2000 cycles.
+    //    16 cores, epoch snapshots every 2000 cycles and counter
+    //    tracks sampled every 500.
     cpu::SystemConfig config;
     config.org.kind = core::OrgKind::Nocstar;
     config.org.numCores = 16;
@@ -59,6 +58,7 @@ main(int argc, char **argv)
     config.seed = 12345;
     config.statsEpochInterval = 2000;
     config.statsJsonPath = "trace_translation_stats.json";
+    config.counterInterval = 500;
 
     // Fresh stats file: System::run appends (JSONL across a sweep).
     if (std::FILE *f = std::fopen("trace_translation_stats.json", "w"))
@@ -136,40 +136,12 @@ main(int argc, char **argv)
     bool ok = per_lane[static_cast<unsigned>(
                   sim::Lane::Translation)] > 0 &&
               per_lane[static_cast<unsigned>(sim::Lane::Link)] > 0 &&
-              per_lane[static_cast<unsigned>(sim::Lane::Walker)] > 0;
+              per_lane[static_cast<unsigned>(sim::Lane::Walker)] > 0 &&
+              per_lane[static_cast<unsigned>(sim::Lane::Counter)] > 0;
     if (!ok) {
         std::fprintf(stderr,
-                     "expected translation, link and walker events in "
-                     "the capture\n");
-        return 1;
-    }
-
-    // 7. Sharded-engine leg: the same system on 2 shards with counter
-    //    sampling on must emit window-phase spans on the shard lane
-    //    and counter-track samples -- the pieces Perfetto renders as
-    //    the engine's phase timeline.
-    sim::TraceRecorder::global().clear();
-    sim::TraceRecorder::global().start();
-    cpu::SystemConfig sharded = config;
-    sharded.statsEpochInterval = 0;
-    sharded.statsJsonPath.clear();
-    sharded.shards = 2;
-    sharded.counterInterval = 500;
-    cpu::System shardRun(sharded);
-    shardRun.run(accesses);
-    std::uint64_t shard_events = 0, counter_events = 0;
-    for (const auto &r : sim::TraceRecorder::global().snapshot()) {
-        shard_events += r.lane == sim::Lane::Shard;
-        counter_events += r.lane == sim::Lane::Counter;
-    }
-    std::printf("sharded leg: %llu shard-phase events, %llu counter "
-                "samples\n",
-                static_cast<unsigned long long>(shard_events),
-                static_cast<unsigned long long>(counter_events));
-    if (shard_events == 0 || counter_events == 0) {
-        std::fprintf(stderr,
-                     "expected shard-phase spans and counter samples "
-                     "from the --shards 2 leg\n");
+                     "expected translation, link, walker and counter "
+                     "events in the capture\n");
         return 1;
     }
     return 0;

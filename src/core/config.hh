@@ -128,6 +128,8 @@ struct OrgConfig
 
     /** Sequential prefetch distance after L2 misses (0 disables). */
     unsigned prefetchDistance = 0;
+    /** Largest prefetchDistance validate() accepts (Table III's +-1..3). */
+    static constexpr unsigned maxPrefetchDistance = 3;
 
     /**
      * Fig 4 mode: if nonzero, the monolithic organization's entire

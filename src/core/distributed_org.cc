@@ -101,7 +101,7 @@ DistributedOrg::translate(CoreId core, ContextId ctx, Addr vaddr,
         ctx_.energy->addL2Message(energy::NocStyle::DistributedMesh,
                                   hops, array.numEntries());
 
-    const tlb::TlbEntry *hit = homeProbe(array, ctx, vaddr);
+    const tlb::TlbEntry *hit = array.lookupAnySize(ctx, vaddr);
     bool ecc = false;
     if (hit && eccCorrupted()) {
         // The entry read back corrupt: drop it and take the miss path.

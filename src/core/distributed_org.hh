@@ -42,17 +42,6 @@ class DistributedOrg : public TlbOrganization
     std::uint64_t totalEntries() const override;
 
     /**
-     * A local-slice hit completes at portStart(t0) + sliceLatency_;
-     * remote slices and walks only add network cycles. Holds for the
-     * ideal (zero-latency) network too.
-     */
-    Cycle
-    minCompletionLead() const override
-    {
-        return config_.initiateLatency + sliceLatency_;
-    }
-
-    /**
      * Home slice of a virtual address: 4 KB-granule interleaving on
      * low VPN bits ("simple indexing using bits from the virtual
      * address", §III-A). A 2 MB entry is cached in the slice of the
@@ -71,7 +60,7 @@ class DistributedOrg : public TlbOrganization
         return *slices_.at(slice);
     }
 
-    // Sharded pre-probe support: one home array per slice tile.
+    // One home array per slice tile.
     unsigned numHomeArrays() const override { return config_.numCores; }
 
     unsigned
@@ -79,15 +68,6 @@ class DistributedOrg : public TlbOrganization
     {
         (void)core;
         return static_cast<unsigned>(sliceOf(vaddr));
-    }
-
-    ProbeResult
-    probeHomeArray(CoreId core, ContextId ctx, Addr vaddr) override
-    {
-        (void)core;
-        const tlb::TlbEntry *hit =
-            slices_[sliceOf(vaddr)]->lookupAnySize(ctx, vaddr);
-        return hit ? ProbeResult{true, *hit} : ProbeResult{};
     }
 
     tlb::SetAssocTlb &array(unsigned index) override

@@ -118,6 +118,9 @@ OrgConfig::validate() const
                                 l2Assoc, ")"));
     if (readPortsPerCycle == 0)
         errors.push_back("readPortsPerCycle must be >= 1");
+    if (prefetchDistance > maxPrefetchDistance)
+        errors.push_back(strCat("prefetchDistance (", prefetchDistance,
+                                ") outside 0..", maxPrefetchDistance));
 
     bool nocstar =
         kind == OrgKind::Nocstar || kind == OrgKind::NocstarIdeal;

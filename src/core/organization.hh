@@ -56,20 +56,6 @@ struct TranslationResult
     bool degraded = false;
 };
 
-/**
- * Outcome of a home-array probe taken ahead of translate() by the
- * sharded engine's parallel pre-probe phase (see DESIGN.md, "sharding
- * the uncore"). Carries the full functional result of the one
- * lookupAnySize() call translate() would have made: the hit/miss
- * outcome and, on a hit, the entry value as read (LRU stamp, prefetch
- * flag and hit/miss counters were already updated by the probe).
- */
-struct ProbeResult
-{
-    bool hit = false;
-    tlb::TlbEntry entry;
-};
-
 /** Callback when a translation completes (inline, no heap). */
 using TranslationDone =
     InlineFunction<void(const TranslationResult &), 48>;
@@ -167,51 +153,17 @@ class TlbOrganization : public stats::StatGroup
     virtual void syncFaultStats(Cycle now) { (void)now; }
 
     /**
-     * Provable lower bound on (completedAt - now) for any translate()
-     * call: every organization charges initiateLatency up front and
-     * then at least one full array access before the earliest possible
-     * completion (networks, ports and walks only add to that). The
-     * sharded engine's conservative lookahead window is derived from
-     * this bound (see DESIGN.md, "conservative lookahead"), so an
-     * override returning more than the true minimum would corrupt
-     * results, and one returning less only shrinks the window.
-     */
-    virtual Cycle minCompletionLead() const { return 1; }
-
-    /**
-     * Provable lower bound on (mutation cycle - now) for any mutation
-     * of a home L2 array (walk fill, prefetch insert) caused by a
-     * translate() call at @p now. Every organization charges the full
-     * completion lead before its lookup misses, and a fill needs at
-     * least one further walk cycle beyond the lookup, hence the
-     * default. The sharded engine requires this to strictly exceed
-     * its window lead before enabling the parallel pre-probe phase
-     * (see DESIGN.md, "sharding the uncore"): it guarantees no miss
-     * replayed inside a window can mutate any home array within that
-     * same window.
-     */
-    virtual Cycle minUncoreLead() const { return minCompletionLead() + 1; }
-
-    /**
      * Number of home-tile-partitioned L2 arrays translate() probes
-     * (slices, banks, or private per-core arrays). 0 means the
-     * organization does not support the sharded engine's parallel
-     * pre-probe phase. Array index i is what homeArrayOf() returns;
-     * the engine gives each array to exactly one shard (single-writer
-     * ownership during the parallel phase).
+     * (slices, banks, or private per-core arrays). Array index i is
+     * what homeArrayOf() returns.
      */
-    virtual unsigned numHomeArrays() const { return 0; }
+    virtual unsigned numHomeArrays() const = 0;
 
     /**
      * Index (< numHomeArrays()) of the one home array a
      * translate(core, ..., vaddr, ...) call probes.
      */
-    virtual unsigned
-    homeArrayOf(CoreId core, Addr vaddr) const
-    {
-        (void)core; (void)vaddr;
-        return 0;
-    }
+    virtual unsigned homeArrayOf(CoreId core, Addr vaddr) const = 0;
 
     /**
      * The L2 array behind home index @p index (< numHomeArrays()).
@@ -231,35 +183,6 @@ class TlbOrganization : public stats::StatGroup
     {
         (void)vaddr;
         return requester;
-    }
-
-    /**
-     * Perform translate()'s home-array probe ahead of time: the exact
-     * lookupAnySize() call it would make, with the same LRU update,
-     * prefetch-flag clear and per-array hit/miss counting, touching
-     * nothing outside that one array. A later translateWithProbe()
-     * call with the returned result then skips its own array access,
-     * making the pair exactly equivalent to one plain translate().
-     */
-    virtual ProbeResult
-    probeHomeArray(CoreId core, ContextId ctx, Addr vaddr)
-    {
-        (void)core; (void)ctx; (void)vaddr;
-        return {};
-    }
-
-    /**
-     * translate(), consuming @p probe (taken earlier by
-     * probeHomeArray() for the same (core, ctx, vaddr)) instead of
-     * touching the home array again. @p probe must outlive the call.
-     */
-    void
-    translateWithProbe(CoreId core, ContextId ctx, Addr vaddr, Cycle now,
-                       TranslationDone done, const ProbeResult &probe)
-    {
-        preProbe_ = &probe;
-        translate(core, ctx, vaddr, now, std::move(done));
-        preProbe_ = nullptr;
     }
 
     const OrgConfig &config() const { return config_; }
@@ -344,25 +267,6 @@ class TlbOrganization : public stats::StatGroup
     }
 
     /**
-     * The home-array probe inside translate(): consume the armed
-     * pre-probe when translateWithProbe() set one (the array was
-     * already read, counted and LRU-stamped by probeHomeArray()),
-     * otherwise perform the live lookup. The returned pointer is only
-     * valid until translate() returns; every caller copies the entry
-     * by value before handing it to a continuation.
-     */
-    const tlb::TlbEntry *
-    homeProbe(tlb::SetAssocTlb &array, ContextId ctx, Addr vaddr)
-    {
-        if (preProbe_) {
-            const ProbeResult *probe = preProbe_;
-            preProbe_ = nullptr;
-            return probe->hit ? &probe->entry : nullptr;
-        }
-        return array.lookupAnySize(ctx, vaddr);
-    }
-
-    /**
      * Record one slice/bank array lookup on the structured-trace
      * Slice lane (one track per slice). Free when recording is off.
      */
@@ -380,9 +284,6 @@ class TlbOrganization : public stats::StatGroup
     tlb::TlbPrefetcher prefetcher_;
     /** Allocated only when the plan injects slice ECC errors. */
     std::unique_ptr<sim::FaultInjector> eccFaults_;
-    /** Armed by translateWithProbe() for the duration of one
-     * translate() call; consumed by homeProbe(). */
-    const ProbeResult *preProbe_ = nullptr;
 
   private:
     struct PortState

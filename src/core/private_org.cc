@@ -36,7 +36,7 @@ PrivateOrg::translate(CoreId core, ContextId ctx, Addr vaddr, Cycle now,
     if (ctx_.energy)
         ctx_.energy->addPrivateL2Lookup(config_.l2Entries);
 
-    const tlb::TlbEntry *hit = homeProbe(array, ctx, vaddr);
+    const tlb::TlbEntry *hit = array.lookupAnySize(ctx, vaddr);
     bool ecc = false;
     if (hit && eccCorrupted()) {
         // The entry read back corrupt: drop it and take the miss path.

@@ -38,18 +38,10 @@ class PrivateOrg : public TlbOrganization
 
     std::uint64_t totalEntries() const override;
 
-    /** Every hit pays initiate + the private array's access latency. */
-    Cycle
-    minCompletionLead() const override
-    {
-        return config_.initiateLatency + lookupLatency_;
-    }
-
     /** Direct array access for tests. */
     tlb::SetAssocTlb &arrayOf(CoreId core) { return *arrays_.at(core); }
 
-    // Sharded pre-probe support: one home array per core, the
-    // requester's own.
+    // One home array per core, the requester's own.
     unsigned numHomeArrays() const override { return config_.numCores; }
 
     unsigned
@@ -57,13 +49,6 @@ class PrivateOrg : public TlbOrganization
     {
         (void)vaddr;
         return static_cast<unsigned>(core);
-    }
-
-    ProbeResult
-    probeHomeArray(CoreId core, ContextId ctx, Addr vaddr) override
-    {
-        const tlb::TlbEntry *hit = arrays_[core]->lookupAnySize(ctx, vaddr);
-        return hit ? ProbeResult{true, *hit} : ProbeResult{};
     }
 
     tlb::SetAssocTlb &array(unsigned index) override

@@ -17,11 +17,9 @@
 #define NOCSTAR_CPU_SYSTEM_HH
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -32,7 +30,6 @@
 #include "mem/page_walker.hh"
 #include "sim/event_queue.hh"
 #include "sim/latency_histogram.hh"
-#include "sim/shard.hh"
 #include "tlb/l1_tlb.hh"
 #include "workload/generator.hh"
 #include "workload/spec.hh"
@@ -120,19 +117,6 @@ struct SystemConfig
     /** Storm microbenchmark remap period (0 = off). */
     Cycle stormRemapInterval = 0;
 
-    /**
-     * Deterministic sharded execution: partition the cores into this
-     * many shards, each owning a private timing-wheel EventQueue for
-     * its threads' step events, run in parallel inside conservative
-     * lookahead windows derived from the organization's minimum
-     * completion latency (see DESIGN.md, "conservative lookahead").
-     * 0 (the default) selects the legacy single-queue engine,
-     * bit-for-bit the pre-shard simulator. Any value >= 1 selects the
-     * window engine, whose results are byte-identical at every shard
-     * count -- so `--shards 1` is the exactness baseline for
-     * `--shards N`, and N is purely a wall-clock knob.
-     */
-    unsigned shards = 0;
     /** Timed slice-invalidation messages modelled per storm op. */
     unsigned stormMessagesPerOp = 16;
     /** Cycles an IPI pauses each sharer thread. */
@@ -194,19 +178,17 @@ struct SystemConfig
     bool latencyPerContext = false;
     /**
      * Sample observability counter tracks (event-queue depth, in-flight
-     * L2 misses, fabric links held, shard window width, busy shard
-     * lanes, deferred misses) into the structured trace recorder at
-     * most every N cycles (0 = off). Needs an active recorder; samples
-     * render as Perfetto "ph":"C" counter tracks.
+     * L2 misses, fabric links held) into the structured trace recorder
+     * at most every N cycles (0 = off). Needs an active recorder;
+     * samples render as Perfetto "ph":"C" counter tracks.
      */
     Cycle counterInterval = 0;
     /**
      * Emit a one-line wall-clock progress heartbeat to stderr at this
      * period in seconds (< 0 = off, the default; 0 = every check
      * point). When enabled, one final line is always emitted at the
-     * end of run(). Zero hot-path cost when off: the legacy engine
-     * installs no event at all and the window engine's check is one
-     * null-pointer test per window.
+     * end of run(). Zero hot-path cost when off: no event is
+     * installed at all.
      */
     double progressSeconds = -1.0;
 
@@ -347,41 +329,6 @@ class System : public stats::StatGroup
     }
 
     /**
-     * Wall-clock split of the sharded engine's run loop (all zero on
-     * the legacy engine), for the Amdahl accounting in
-     * BENCH_shard.json: where does a sharded run actually spend host
-     * time? Busy counters are summed across shard workers, so they
-     * can exceed the wall counters on a parallel crew; barrierNanos
-     * is the caller thread's wait after finishing its own shard-0
-     * work, i.e. the price of load imbalance.
-     */
-    struct ShardTiming
-    {
-        /** Window-loop iterations. */
-        std::uint64_t windows = 0;
-        /** Phase A wall time (caller side of crew barriers). */
-        std::uint64_t stepWallNanos = 0;
-        /** Phase A per-shard busy time, summed over shards. */
-        std::uint64_t stepBusyNanos = 0;
-        /** Parallel pre-probe wall time. */
-        std::uint64_t probeWallNanos = 0;
-        /** Pre-probe per-shard busy time, summed over shards. */
-        std::uint64_t probeBusyNanos = 0;
-        /** Caller wait at barriers beyond its own shard-0 work. */
-        std::uint64_t barrierNanos = 0;
-        /** Mailbox drain + replay injection + lane folds. */
-        std::uint64_t drainNanos = 0;
-        /** Serial phase B (main-queue uncore) wall time. */
-        std::uint64_t uncoreNanos = 0;
-        /** Misses whose home-array probe ran on the shard crew. */
-        std::uint64_t preProbes = 0;
-        /** Misses deferred to window boundaries in total. */
-        std::uint64_t deferredMisses = 0;
-    };
-
-    const ShardTiming &shardTiming() const { return timing_; }
-
-    /**
      * Write the machine-readable stats document for this system as a
      * single JSON object: `{"epochs":[...],"final":{<stats tree>}}`.
      * Epoch entries are `{"epoch":k,"cycle":c,"stats":{...}}`.
@@ -464,64 +411,8 @@ class System : public stats::StatGroup
         void
         process() override
         {
-            if (sys->split_)
-                sys->shardStep(threadIndex);
-            else
-                sys->step(threadIndex);
+            sys->step(threadIndex);
         }
-    };
-
-    /**
-     * An L1 TLB miss raised during a shard's parallel window, parked
-     * until the window boundary: the organization (shared uncore
-     * state) only runs serially in the drain phase, where the miss is
-     * replayed at its original cycle in canonical (cycle, thread)
-     * order.
-     */
-    struct DeferredMiss
-    {
-        Cycle cycle = 0;
-        std::uint32_t thread = 0;
-        Addr vaddr = 0;
-        /**
-         * True when the issuing shard already resolved the page size
-         * and probed (and counted) the L1 miss; false when the page
-         * table region was unallocated at probe time, which proves the
-         * access misses every L1 array, so the whole access -- probe,
-         * counting and all -- replays at the boundary instead.
-         */
-        bool probed = false;
-    };
-
-    /** A thread resumption produced by a completion during the serial
-     * phase, delivered to the owning shard at the next window start. */
-    struct PendingResume
-    {
-        std::size_t thread;
-        Cycle when;
-    };
-
-    /** Per-shard stat accumulators, folded (summed as integers, then
-     * added once) at every window boundary so the Scalar doubles stay
-     * bit-identical at every shard count. The wall-clock fields are
-     * host telemetry, not simulation state: they accumulate across
-     * the whole run and never feed back into results. */
-    struct ShardLane
-    {
-        std::uint64_t l1Accesses = 0;
-        std::uint64_t l1Misses = 0;
-        /** Busy nanoseconds running this shard's phase A windows. */
-        std::uint64_t stepNanos = 0;
-        /** Busy nanoseconds running this shard's pre-probe lists. */
-        std::uint64_t probeNanos = 0;
-        /** Pre-probes this shard executed. */
-        std::uint64_t probes = 0;
-        /**
-         * L1 hits per context this window (sized only when per-context
-         * latency histograms are on), folded in context order at the
-         * boundary so per-ctx hit counts are shard-count invariant.
-         */
-        std::vector<std::uint64_t> hitsByCtx;
     };
 
     /** Outcome class of one translation, for the latency histograms.
@@ -572,14 +463,6 @@ class System : public stats::StatGroup
         std::uint64_t totalQuota = 0;
     };
 
-    /** A crew worker parked on (or woke from) the window condvar. */
-    struct ParkEvent
-    {
-        unsigned shard;
-        bool parked;
-        Cycle at;
-    };
-
     /** The "sampling" stats child group, created only when sampling
      * is enabled so the stats tree is unchanged otherwise. */
     struct SamplingStats : stats::StatGroup
@@ -618,9 +501,6 @@ class System : public stats::StatGroup
     /** One functional access of @p thread at clock @p now. */
     void fastForwardAccess(HwThread &thread, Cycle now);
 
-    /** Run the configured engine until all queues drain. */
-    void drive();
-
     /** Schedule the per-run events and stats plumbing shared by the
      * detailed and sampled run paths. */
     void beginRun(std::uint64_t total_quota);
@@ -648,26 +528,6 @@ class System : public stats::StatGroup
     /** Issue one access for @p thread at the current cycle. */
     void step(std::size_t thread_index);
 
-    /**
-     * Sharded-engine analogue of step(), run on a shard worker during
-     * the parallel window phase: hits execute inline against
-     * shard-owned state only (thread, per-core L1 arrays, per-shard
-     * lanes, read-only page-table peeks); any miss parks the thread in
-     * the deferred-miss mailbox for serial replay.
-     */
-    void shardStep(std::size_t thread_index);
-
-    /**
-     * Replay one deferred miss through the organization (serial).
-     * @param probe the home-array probe result the shard crew took in
-     * the parallel pre-probe phase, or nullptr to probe live.
-     */
-    void replayMiss(const DeferredMiss &miss,
-                    const core::ProbeResult *probe = nullptr);
-
-    /** Window loop of the sharded engine (replaces queue_.run()). */
-    void driveSharded();
-
     /** Schedule the next step of @p thread at @p when. */
     void scheduleStep(std::size_t thread_index, Cycle when);
 
@@ -694,17 +554,13 @@ class System : public stats::StatGroup
      * caller has already checked recording() and the interval). */
     void sampleCounters(Cycle at);
 
-    /** Periodic counter-sampling / heartbeat events (legacy engine). */
+    /** Periodic counter-sampling / heartbeat events. */
     void installCounterEvent();
     void installProgressEvent();
 
     /** Emit a heartbeat line if the wall-clock period elapsed (or
      * @p force); no-op when the heartbeat is off. */
     void maybeProgress(bool force = false);
-
-    /** Drain crew park/wake events into the trace recorder (serial
-     * phases only; workers may append concurrently). */
-    void flushParkEvents();
 
     SystemConfig config_;
     EventQueue queue_;
@@ -724,38 +580,8 @@ class System : public stats::StatGroup
     std::vector<std::unique_ptr<workload::TraceFile>> traces_;
     /** Capture sink when captureTracePath is set. */
     std::unique_ptr<workload::TraceFile> capture_;
-    /** Atomic because shard workers retire threads concurrently; only
-     * read in serial phases, so relaxed ops suffice. */
-    std::atomic<unsigned> unfinished_{0};
+    unsigned unfinished_ = 0;
     Random rng_;
-
-    // Sharded-engine state (empty/null when config_.shards == 0).
-    /** True when the window engine replaces the legacy single queue. */
-    bool split_ = false;
-    /** One private step-event queue per shard. */
-    std::vector<std::unique_ptr<EventQueue>> shardQueues_;
-    /** Owning shard of each hardware thread (by its core's range). */
-    std::vector<unsigned> shardOfThread_;
-    std::vector<ShardLane> lanes_;
-    std::unique_ptr<sim::ShardMailboxes<DeferredMiss>> deferred_;
-    /** Resumptions emitted by the current serial phase, delivered at
-     * max(when, windowEnd_ + 1) before the next parallel phase. */
-    std::vector<PendingResume> pendingResumes_;
-    /** Inclusive end of the current window (bypass clamp, resume floor). */
-    Cycle windowEnd_ = 0;
-    /** Owning shard of each home array (contiguous index ranges). */
-    std::vector<unsigned> shardOfArray_;
-    /** This window's deferred misses in canonical (cycle, thread)
-     * order; indices below are into this vector. */
-    std::vector<DeferredMiss> replayBatch_;
-    /** Pre-probe outcome per batch entry (valid iff probeTaken_). */
-    std::vector<core::ProbeResult> probeResults_;
-    std::vector<std::uint8_t> probeTaken_;
-    /** Per-shard worklists of batch indices, each shard's in
-     * canonical order (the batch itself is sorted). */
-    std::vector<std::vector<std::uint32_t>> probePlan_;
-    /** Wall-clock split of the window loop (see ShardTiming). */
-    ShardTiming timing_;
 
     // Sampled-simulation / checkpoint state (inert unless configured).
     /** Sampling stats group; null unless sampling is enabled. */
@@ -774,13 +600,6 @@ class System : public stats::StatGroup
     Cycle nextCounterAt_ = 0;
     /** Fabric of a NOCSTAR org, for the links-held counter track. */
     core::Interconnect *counterFabric_ = nullptr;
-    /** Crew park/wake events, appended by worker threads under the
-     * mutex and drained into the recorder by the caller thread. */
-    std::vector<ParkEvent> parkEvents_;
-    std::mutex parkMutex_;
-    /** Approximate cycle stamp for park/wake instants (workers cannot
-     * read a queue clock racily; the window end is close enough). */
-    std::atomic<Cycle> windowEndHint_{0};
 
     stats::Scalar l1Accesses_;
     stats::Scalar l1Misses_;

@@ -49,19 +49,6 @@ class TranslationEnergyModel
     /** Count one L1 TLB probe. */
     void addL1Lookup() { dynamicPj_ += l1TlbLookupPj; }
 
-    /**
-     * Count @p n L1 TLB probes in one addition. The sharded engine
-     * folds per-shard probe counts at window boundaries through this:
-     * summing the integer counts first and adding once keeps the
-     * accumulated double bit-identical at every shard count (integral
-     * doubles below 2^53 add exactly).
-     */
-    void
-    addL1Lookups(std::uint64_t n)
-    {
-        dynamicPj_ += l1TlbLookupPj * static_cast<double>(n);
-    }
-
     /** Count one L2-TLB-bound message (lookup + traversal). */
     void
     addL2Message(NocStyle style, unsigned hops, std::uint64_t sram_entries)

@@ -89,28 +89,6 @@ PageTable::translate(ContextId ctx, Addr vaddr)
     return result;
 }
 
-std::optional<Translation>
-PageTable::peek(ContextId ctx, Addr vaddr) const
-{
-    RegionKey key = regionKey(ctx, vaddr);
-    const std::uint32_t *index = regionIndex_.find(key);
-    if (!index)
-        return std::nullopt;
-    const Region &region = regionPool_[*index];
-    Translation result;
-    result.version = region.version;
-    if (region.superpage) {
-        result.size = PageSize::TwoMB;
-        result.ppn = region.frame;
-    } else {
-        result.size = PageSize::FourKB;
-        Addr offset_in_region =
-            (vaddr >> pageShift(PageSize::FourKB)) & 0x1ff;
-        result.ppn = (region.frame << 9) | offset_in_region;
-    }
-    return result;
-}
-
 WalkLines
 PageTable::walkAddresses(ContextId ctx, Addr vaddr) const
 {

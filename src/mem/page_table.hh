@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "sim/checkpoint.hh"
@@ -79,17 +78,6 @@ class PageTable
 
     /** Translate @p vaddr in @p ctx, allocating on first touch. */
     Translation translate(ContextId ctx, Addr vaddr);
-
-    /**
-     * Read-only translate: the same result as translate() when the
-     * region containing @p vaddr is already allocated, std::nullopt
-     * otherwise. Never allocates and never touches the memo, so
-     * concurrent peek() calls are safe while no thread mutates the
-     * table -- the sharded engine's parallel phase relies on exactly
-     * that (an unallocated region also proves the access cannot be an
-     * L1 TLB hit, so the shard can defer it without resolving it).
-     */
-    std::optional<Translation> peek(ContextId ctx, Addr vaddr) const;
 
     /**
      * Walk reference line addresses for @p vaddr: 4 lines for a 4 KB

@@ -149,17 +149,6 @@ EventQueue::quietUntil(Cycle when) const
     }
 }
 
-Cycle
-EventQueue::firstBusyCycle(Cycle when) const
-{
-    // nextEventCycle() is exactly "earliest cycle with any pending
-    // record, live or stale": the occupancy bitmap is maintained
-    // precisely and the overflow head bounds everything beyond the
-    // horizon. Clip it to the queried window.
-    Cycle busy = nextEventCycle();
-    return busy <= when ? busy : invalidCycle;
-}
-
 void
 EventQueue::foldOverflow()
 {

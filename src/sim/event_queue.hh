@@ -147,19 +147,6 @@ class EventQueue
     bool quietUntil(Cycle when) const;
 
     /**
-     * Earliest cycle in [curCycle(), @p when] holding any pending
-     * record (live or stale), or invalidCycle when that whole span is
-     * quiet. The shard window loop uses this instead of quietUntil()
-     * so a broken quiescence check reports *which* cycle broke it and
-     * execution can resume there rather than re-scanning from
-     * curCycle(). Unlike quietUntil() this is exact even when @p when
-     * lies beyond the wheel horizon: every wheel record is within the
-     * horizon by construction and the overflow heap's head covers the
-     * rest.
-     */
-    Cycle firstBusyCycle(Cycle when) const;
-
-    /**
      * Advance the clock to @p when without processing anything.
      * Precondition: no pending record sits strictly before @p when
      * (e.g. quietUntil(when) held); violating it would strand wheel

@@ -29,7 +29,6 @@ laneName(Lane lane)
       case Lane::Link: return "fabric links";
       case Lane::Message: return "fabric messages (per source)";
       case Lane::Counter: return "counters";
-      case Lane::Shard: return "shard engine (window phases)";
       case Lane::NumLanes: break;
     }
     return "?";

@@ -105,6 +105,22 @@ TEST(OrgValidate, CatchesBankOverflow)
     EXPECT_TRUE(mentions(config.validate(), "banks"));
 }
 
+TEST(OrgValidate, CatchesPrefetchDistanceOutOfRange)
+{
+    OrgConfig config;
+    config.kind = OrgKind::Nocstar;
+    config.numCores = 16;
+    config.prefetchDistance = OrgConfig::maxPrefetchDistance;
+    EXPECT_TRUE(config.validate().empty());
+    // The prefetcher reserves 2 * distance candidates per L2 miss, so
+    // an unchecked huge distance aborts the run with std::bad_alloc.
+    for (unsigned d : {4u, 4000000000u}) {
+        config.prefetchDistance = d;
+        EXPECT_TRUE(mentions(config.validate(), "prefetchDistance"))
+            << "distance " << d;
+    }
+}
+
 TEST(OrgValidate, ChecksFaultPlanAgainstTopology)
 {
     OrgConfig config;

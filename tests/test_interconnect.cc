@@ -5,8 +5,8 @@
  * RunResult identity across every organization), and the hierarchical
  * crossbar-of-clusters fabric must degenerate correctly at both ends
  * of its cluster-size range (whole-chip cluster = pure crossbar,
- * 1x1 clusters = the flat mesh), stay shard-count invariant, and
- * route around dead inter-cluster links.
+ * 1x1 clusters = the flat mesh), reproduce its golden whole-system
+ * result, and route around dead inter-cluster links.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "core/hier_fabric.hh"
 #include "core/interconnect.hh"
 #include "cpu/system.hh"
-#include "sim/parallel.hh"
 #include "sim/random.hh"
 #include "tests/move_counter.hh"
 
@@ -125,6 +124,25 @@ TEST(InterconnectSeam, FlatRunResultsMatchPreSeamGoldens)
         EXPECT_EQ(r.l2Misses, g.l2Misses) << orgKindName(g.kind);
         EXPECT_EQ(r.walks, g.walks) << orgKindName(g.kind);
     }
+}
+
+/**
+ * The hierarchical fabric's whole-system golden, captured with
+ * paperConfig(Nocstar, 64), the hierarchical fabric at its automatic
+ * cluster geometry, and run(1000). Any change to these values is a
+ * change to the hierarchical fabric's simulated behaviour.
+ */
+TEST(InterconnectSeam, HierRunResultMatchesGolden)
+{
+    cpu::SystemConfig config = paperConfig(core::OrgKind::Nocstar, 64);
+    config.org.fabricKind = core::FabricKind::Hierarchical;
+    cpu::System system(config);
+    cpu::RunResult r = system.run(1000);
+    EXPECT_EQ(r.cycles, 13544u);
+    EXPECT_DOUBLE_EQ(r.meanCycles, 6917.28125);
+    EXPECT_EQ(r.l2Hits, 7857u);
+    EXPECT_EQ(r.l2Misses, 104u);
+    EXPECT_EQ(r.walks, 104u);
 }
 
 TEST(InterconnectSeam, OnDemandPathsMatchTopologyPastTableCap)
@@ -515,30 +533,8 @@ TEST(HierFabric, RoutesAroundDeadInterClusterLink)
 }
 
 // ---------------------------------------------------------------------
-// Hierarchical fabric: whole-system invariances.
+// Hierarchical fabric: whole-system runs.
 // ---------------------------------------------------------------------
-
-TEST(HierFabric, SystemResultsAreShardCountInvariant)
-{
-    auto runWith = [](unsigned shards) {
-        cpu::SystemConfig config = paperConfig(core::OrgKind::Nocstar,
-                                               64);
-        config.org.fabricKind = core::FabricKind::Hierarchical;
-        config.shards = shards;
-        cpu::System system(config);
-        return system.run(1000);
-    };
-    cpu::RunResult one = runWith(1);
-    cpu::RunResult four = runWith(4);
-    cpu::RunResult autoN = runWith(sim::autoShards(64));
-    for (const cpu::RunResult *r : {&four, &autoN}) {
-        EXPECT_EQ(r->cycles, one.cycles);
-        EXPECT_DOUBLE_EQ(r->meanCycles, one.meanCycles);
-        EXPECT_EQ(r->l2Hits, one.l2Hits);
-        EXPECT_EQ(r->l2Misses, one.l2Misses);
-        EXPECT_EQ(r->walks, one.walks);
-    }
-}
 
 TEST(HierFabric, ClusterLocalSliceMappingRunsAndStaysInCluster)
 {

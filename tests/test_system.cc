@@ -1,11 +1,14 @@
 /**
  * @file
  * Full-system tests: smoke runs of every organization, determinism,
- * SMT and multiprogramming, microbenchmark drivers, and the paper
- * bucketing helper.
+ * SMT and multiprogramming, microbenchmark drivers, the paper
+ * bucketing helper, and the lazily created latency stats group.
  */
 
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
 
 #include "cpu/system.hh"
 
@@ -284,4 +287,23 @@ TEST(System, SuperpagesReduceL1Misses)
     RunResult with_sp = System(on).run(4000);
     RunResult without_sp = System(off).run(4000);
     EXPECT_LT(with_sp.l1Misses, without_sp.l1Misses);
+}
+
+TEST(System, LatencyStatsOffLeavesDocumentUnchanged)
+{
+    // With the knob off, the stats document must be byte-identical to
+    // one from a system that never had the feature: the latency group
+    // is created lazily, so its absence is the whole guarantee.
+    auto document = [](bool lat) {
+        SystemConfig config = smallConfig(core::OrgKind::Nocstar);
+        config.latencyStats = lat;
+        System system(config);
+        system.run(1000);
+        std::ostringstream os;
+        system.dumpStatsJson(os);
+        return os.str();
+    };
+    std::string off = document(false);
+    EXPECT_EQ(off.find("\"latency\""), std::string::npos);
+    EXPECT_NE(off, document(true));
 }
