@@ -81,7 +81,7 @@ main(int argc, char **argv)
         }
     }
 
-    bench::SweepHarness harness("fault", args.jobs);
+    bench::SweepHarness harness("fault", args.run, args.jobs);
     auto results = harness.runMany(jobs);
 
     constexpr std::size_t perWorkload = 1 + 6 + 4;

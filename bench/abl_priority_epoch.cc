@@ -19,9 +19,9 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, 5000,
         "NOCSTAR rotating-priority epoch sweep (gups, 64 cores)");
-    std::uint64_t accesses = args.accesses;
-
     const auto &spec = workload::findWorkload("gups");
+    bench::SweepHarness harness("abl_priority_epoch", args.run,
+                                args.jobs);
 
     std::printf("Ablation: priority rotation epoch (gups, 32 cores, "
                 "hot slice 0)\n");
@@ -30,15 +30,17 @@ main(int argc, char **argv)
     auto priv_config =
         bench::makeConfig(core::OrgKind::Private, 32, spec);
     priv_config.hotspotSlice = 0;
-    auto priv = bench::runOnce(priv_config, accesses);
+    auto priv = harness.runMany({{priv_config, args.accesses}}).front();
 
     for (Cycle epoch : {10u, 100u, 1000u, 10000u, 1000000u}) {
         auto config = bench::makeConfig(core::OrgKind::Nocstar, 32,
                                         spec);
         config.org.priorityEpoch = epoch;
         config.hotspotSlice = 0; // concentrate contention
-        cpu::System system(config);
-        auto result = system.run(accesses);
+        // Held here, not run through runMany(), so the fabric's
+        // fairness stats can be read back after the run.
+        cpu::System system(harness.prepare(config));
+        auto result = system.run(args.accesses);
         auto &org =
             dynamic_cast<core::NocstarOrg &>(system.organization());
         std::printf("%10llu %12.3f %12.2f %14.0f\n",

@@ -18,24 +18,37 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, 6000,
         "NOCSTAR slice-entries ablation (32 cores)");
-    std::uint64_t accesses = args.accesses;
+    const std::uint32_t sliceEntries[] = {512u,  768u,  920u,
+                                          1024u, 1536u, 2048u};
+
+    // Per slice size and workload: private, then NOCSTAR.
+    std::vector<bench::SimJob> jobs;
+    for (std::uint32_t entries : sliceEntries) {
+        for (const auto &spec : workload::paperWorkloads()) {
+            jobs.push_back({bench::makeConfig(core::OrgKind::Private,
+                                              32, spec),
+                            args.accesses});
+            auto config =
+                bench::makeConfig(core::OrgKind::Nocstar, 32, spec);
+            config.org.nocstarSliceEntries = entries;
+            jobs.push_back({config, args.accesses});
+        }
+    }
+    bench::SweepHarness harness("abl_slice_size", args.run, args.jobs);
+    auto results = harness.runMany(jobs);
+    const cpu::RunResult *next = results.data();
 
     std::printf("Ablation: NOCSTAR slice entries (32 cores, average "
                 "across workloads)\n");
     std::printf("%10s %12s %12s\n", "entries", "speedup",
                 "l2 missrate");
 
-    for (std::uint32_t entries : {512u, 768u, 920u, 1024u, 1536u,
-                                  2048u}) {
+    for (std::uint32_t entries : sliceEntries) {
         double avg_speedup = 0, avg_missrate = 0;
-        for (const auto &spec : workload::paperWorkloads()) {
-            auto priv = bench::runOnce(
-                bench::makeConfig(core::OrgKind::Private, 32, spec),
-                accesses);
-            auto config =
-                bench::makeConfig(core::OrgKind::Nocstar, 32, spec);
-            config.org.nocstarSliceEntries = entries;
-            auto result = bench::runOnce(config, accesses);
+        for (std::size_t w = 0; w < workload::paperWorkloads().size();
+             ++w) {
+            const cpu::RunResult &priv = *next++;
+            const cpu::RunResult &result = *next++;
             avg_speedup += bench::speedupVsPrivate(priv, result) / 11.0;
             avg_missrate += result.l2MissRate / 11.0;
         }

@@ -225,6 +225,17 @@ class ArgParser
                               });
     }
 
+    /**
+     * Cross-option rule, run once every argument is parsed: a
+     * non-empty return is reported like any other parse error.
+     */
+    ArgParser &
+    check(std::function<std::string()> rule)
+    {
+        checks_.push_back(std::move(rule));
+        return *this;
+    }
+
     /** Was this option/positional supplied on the command line? */
     bool
     seen(const std::string &name) const
@@ -328,6 +339,9 @@ class ArgParser
                 spec.required && !spec.seen)
                 errors_.push_back("missing required argument " +
                                   spec.name);
+        for (const auto &rule : checks_)
+            if (std::string error = rule(); !error.empty())
+                errors_.push_back(std::move(error));
         return errors_.empty();
     }
 
@@ -456,6 +470,7 @@ class ArgParser
     std::string program_;
     std::string description_;
     std::vector<ArgSpec> specs_;
+    std::vector<std::function<std::string()>> checks_;
     std::vector<std::string> errors_;
     bool helpRequested_ = false;
 };

@@ -1,17 +1,21 @@
 /**
  * @file
  * Shared helpers for the figure/table regeneration harnesses: standard
- * system configurations (paper Table II / §IV methodology), simple
- * fixed-width table printing, and the parallel sweep runner.
+ * system configurations (paper Table II / §IV methodology), the run
+ * options every bench shares with examples/simulate, simple fixed-width
+ * table printing, and the parallel sweep runner.
  *
- * Sweeps run through SweepHarness::runMany(), which fans the
- * independent simulations out over a thread pool (--jobs flag /
- * NOCSTAR_JOBS env var, hardware concurrency by default). Results come
- * back in input order and each simulation is deterministic given its
- * config, so a bench's stdout is byte-identical at any job count; all
- * timing output goes to stderr and a machine-readable BENCH_<name>.json
- * so the perf trajectory can be tracked across PRs without perturbing
- * the tables.
+ * A bench parses its command line into a BenchArgs value it owns (run
+ * length, --jobs, and the RunOptions) and hands the options to a
+ * SweepHarness. SweepHarness::runMany() is the only way a bench runs
+ * simulations: it lays the options over every configuration,
+ * validates them, and fans the independent simulations out over a
+ * thread pool (--jobs flag / NOCSTAR_JOBS env var, hardware
+ * concurrency by default). Results come back in input order and each
+ * simulation is deterministic given its config, so a bench's stdout is
+ * byte-identical at any job count; all timing output goes to stderr
+ * and a machine-readable BENCH_<name>.json so the perf trajectory can
+ * be tracked across changes without perturbing the tables.
  */
 
 #ifndef NOCSTAR_BENCH_COMMON_HH
@@ -23,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -33,6 +38,7 @@
 
 #include "arg_parser.hh"
 #include "cpu/system.hh"
+#include "sim/fault.hh"
 #include "sim/parallel.hh"
 #include "sim/trace.hh"
 #include "sim/trace_recorder.hh"
@@ -98,119 +104,6 @@ makeMixConfig(const std::array<std::size_t, 4> &combo, core::OrgKind kind,
 }
 
 /**
- * Observability options shared by every bench, filled in by
- * parseBenchArgs(). All default off; the hot path is untouched (and a
- * sweep's stdout byte-identical) unless one is requested.
- */
-struct Observability
-{
-    /** --trace: capture structured events into the global recorder. */
-    bool trace = false;
-    /** --trace-out FILE: Chrome trace JSON destination. */
-    std::string traceOut;
-    /** --stats-json FILE: per-run stats JSON (JSONL across a sweep). */
-    std::string statsJson;
-    /** --epoch N: snapshot the stats tree every N cycles. */
-    Cycle epoch = 0;
-    /** --epoch-reset: epoch snapshots are deltas, not totals. */
-    bool epochReset = false;
-    /** --lat-hist: per-class translation-latency histograms. */
-    bool latHist = false;
-    /** --lat-hist=ctx: additionally split by workload context. */
-    bool latPerCtx = false;
-    /** --counters N: Perfetto counter-track samples every N cycles. */
-    Cycle counterInterval = 0;
-    /** --progress[=S]: heartbeat period in seconds; < 0 = off. */
-    double progressSeconds = -1.0;
-
-    bool
-    any() const
-    {
-        return trace || !traceOut.empty() || !statsJson.empty() ||
-               epoch != 0 || latHist || counterInterval != 0 ||
-               progressSeconds >= 0;
-    }
-};
-
-/** The process-wide observability selection (set once at startup). */
-inline Observability &
-observability()
-{
-    static Observability obs;
-    return obs;
-}
-
-/**
- * Fault-injection selection shared by every bench, filled in by the
- * --fault-plan / --fault-seed options. When configured, runOnce()
- * applies the plan to every simulated configuration; otherwise no
- * fault machinery is instantiated anywhere.
- */
-struct FaultSelection
-{
-    sim::FaultPlan plan;
-    bool planLoaded = false;
-    bool seedSet = false;
-    std::uint64_t seed = 0;
-    /** Finalized: the plan should be applied to every run. */
-    bool configured = false;
-};
-
-/** The process-wide fault selection (set once at startup). */
-inline FaultSelection &
-faultSelection()
-{
-    static FaultSelection faults;
-    return faults;
-}
-
-/**
- * Fabric selection, filled in by the --fabric option. When set, every
- * NOCSTAR configuration a bench runs uses this fabric (flat
- * circuit-switched mesh or the hierarchical crossbar-of-clusters
- * hybrid); organizations without a fabric ignore it, so the flag is
- * safe to apply sweep-wide.
- */
-struct FabricSelection
-{
-    core::FabricKind kind = core::FabricKind::Flat;
-    unsigned clusterWidth = 0;
-    unsigned clusterHeight = 0;
-    bool set = false;
-};
-
-/** The process-wide fabric selection (set once at startup). */
-inline FabricSelection &
-fabricSelection()
-{
-    static FabricSelection sel;
-    return sel;
-}
-
-/**
- * Sampled-simulation / checkpoint selection, filled in by the
- * --sample, --checkpoint and --restore options. When set, every
- * configuration a bench runs uses SMARTS-style sampling (functional
- * fast-forward between detailed measurement windows) and/or anchors
- * at a checkpoint of the warmed functional state.
- */
-struct SamplingSelection
-{
-    cpu::SamplingConfig sampling;
-    bool samplingSet = false;
-    std::string checkpointSave;
-    std::string checkpointRestore;
-};
-
-/** The process-wide sampling selection (set once at startup). */
-inline SamplingSelection &
-samplingSelection()
-{
-    static SamplingSelection sel;
-    return sel;
-}
-
-/**
  * Parse a --sample spec `WINDOWS,DETAIL[,FF[,WARMUP]]` into @p out.
  * FF defaults to 0 (derive the gap from the run length); WARMUP
  * defaults to FF (one gap's worth of warming before window 1).
@@ -243,103 +136,76 @@ parseSampleSpec(const std::string &spec, cpu::SamplingConfig &out)
 }
 
 /**
- * Apply the process-wide command-line selections (observability,
- * fault plan) to a copy of @p config.
+ * The run options every bench and examples/simulate share:
+ * observability, fault injection, the NOCSTAR fabric, sampled
+ * simulation and checkpoints. The caller owns the value; addTo()
+ * registers its flags on a parser and apply() lays it over one
+ * configuration. Everything defaults off, so the hot path is untouched
+ * (and a sweep's stdout byte-identical) unless an option is requested.
  */
-inline cpu::SystemConfig
-applySelections(const cpu::SystemConfig &config)
+struct RunOptions
 {
-    const Observability &obs = observability();
-    cpu::SystemConfig cfg = config;
-    cfg.statsEpochInterval = obs.epoch;
-    cfg.statsEpochReset = obs.epochReset;
-    cfg.statsJsonPath = obs.statsJson;
-    cfg.latencyStats = obs.latHist;
-    cfg.latencyPerContext = obs.latPerCtx;
-    cfg.counterInterval = obs.counterInterval;
-    cfg.progressSeconds = obs.progressSeconds;
-    if (faultSelection().configured)
-        cfg.org.faults = faultSelection().plan;
-    if (fabricSelection().set &&
-        (cfg.org.kind == core::OrgKind::Nocstar ||
-         cfg.org.kind == core::OrgKind::NocstarIdeal)) {
-        cfg.org.fabricKind = fabricSelection().kind;
-        cfg.org.clusterWidth = fabricSelection().clusterWidth;
-        cfg.org.clusterHeight = fabricSelection().clusterHeight;
+    bool trace = false;           ///< --trace[=FLAGS] or --trace-out
+    std::string traceOut;         ///< --trace-out; see exportTrace()
+    std::string statsJson;        ///< --stats-json (JSONL per sweep)
+    Cycle epoch = 0;              ///< --epoch: stats snapshot period
+    bool epochReset = false;      ///< --epoch-reset: deltas, not totals
+    bool latHist = false;         ///< --lat-hist
+    bool latPerCtx = false;       ///< --lat-hist=ctx
+    Cycle counterInterval = 0;    ///< --counters
+    double progressSeconds = -1;  ///< --progress[=S]; < 0 = off
+    std::optional<sim::FaultPlan> faultPlan; ///< --fault-plan
+    /** --fault-seed: replaces the plan's seed, in either flag order. */
+    std::optional<std::uint64_t> faultSeed;
+    /** --fabric: a checked parseFabricSpec() spec, laid over every
+     * NOCSTAR configuration. Organizations without a fabric ignore it,
+     * so the flag is safe sweep-wide. */
+    std::string fabric;
+    std::optional<cpu::SamplingConfig> sampling; ///< --sample
+    std::string checkpointSave;    ///< --checkpoint
+    std::string checkpointRestore; ///< --restore
+
+    /** Register every run option on @p parser, which must not outlive
+     * this value. */
+    void addTo(ArgParser &parser);
+
+    /** @p config with these options laid over it. */
+    cpu::SystemConfig
+    apply(cpu::SystemConfig config) const
+    {
+        config.statsEpochInterval = epoch;
+        config.statsEpochReset = epochReset;
+        config.statsJsonPath = statsJson;
+        config.latencyStats = latHist;
+        config.latencyPerContext = latPerCtx;
+        config.counterInterval = counterInterval;
+        config.progressSeconds = progressSeconds;
+        if (faultPlan) {
+            config.org.faults = *faultPlan;
+            if (faultSeed)
+                config.org.faults.seed = *faultSeed;
+        }
+        if (!fabric.empty() &&
+            (config.org.kind == core::OrgKind::Nocstar ||
+             config.org.kind == core::OrgKind::NocstarIdeal))
+            core::parseFabricSpec(fabric, config.org);
+        if (sampling)
+            config.sampling = *sampling;
+        if (!checkpointSave.empty())
+            config.checkpointSavePath = checkpointSave;
+        if (!checkpointRestore.empty())
+            config.checkpointRestorePath = checkpointRestore;
+        return config;
     }
-    const SamplingSelection &sample = samplingSelection();
-    if (sample.samplingSet)
-        cfg.sampling = sample.sampling;
-    if (!sample.checkpointSave.empty())
-        cfg.checkpointSavePath = sample.checkpointSave;
-    if (!sample.checkpointRestore.empty())
-        cfg.checkpointRestorePath = sample.checkpointRestore;
-    return cfg;
-}
-
-/**
- * Validate and run a configuration that already has the command-line
- * selections applied (SweepHarness pre-applies them so it can redirect
- * each simulation's stats stream when the sweep is parallel).
- */
-inline cpu::RunResult
-runApplied(const cpu::SystemConfig &cfg,
-           std::uint64_t accesses = defaultAccesses)
-{
-    if (std::vector<std::string> errors = cfg.validate();
-        !errors.empty()) {
-        for (const std::string &e : errors)
-            std::fprintf(stderr, "invalid config: %s\n", e.c_str());
-        std::exit(2);
-    }
-    cpu::System system(cfg);
-    return system.run(accesses);
-}
-
-/**
- * Run one configuration and return the result. Command-line
- * observability and fault-plan selections are applied to a copy of
- * the configuration, which is validated before the system is built.
- */
-inline cpu::RunResult
-runOnce(const cpu::SystemConfig &config,
-        std::uint64_t accesses = defaultAccesses)
-{
-    return runApplied(applySelections(config), accesses);
-}
-
-/** One simulation of a sweep: a configuration plus its run length. */
-struct SimJob
-{
-    cpu::SystemConfig config;
-    std::uint64_t accesses = defaultAccesses;
 };
 
-/** Command-line arguments shared by every sweep bench. */
-struct BenchArgs
-{
-    std::uint64_t accesses;
-    unsigned jobs;
-};
-
-/**
- * Register the options every bench shares on @p parser: --jobs, the
- * observability group (`--trace[=FLAGS]`, `--trace-out FILE`,
- * `--stats-json FILE`, `--epoch N`, `--epoch-reset`), the fault group
- * (`--fault-plan FILE`, `--fault-seed N`) and
- * `--fabric flat|hier[:WxH]`. All of them write into the process-wide
- * singletons; --jobs writes into @p args.
- */
 inline void
-addStandardBenchOptions(ArgParser &parser, BenchArgs &args)
+RunOptions::addTo(ArgParser &parser)
 {
-    parser.option("jobs", &args.jobs,
-                  "parallel sweep workers (default: NOCSTAR_JOBS, "
-                  "then hardware concurrency)");
     parser.optionalValue(
-        "trace", [] { observability().trace = true; },
-        [](const std::string &flags) {
-            observability().trace = true;
+        "trace", [this] { trace = true; },
+        [this](const std::string &flags) {
+            trace = true;
             if (!trace::setFlags(flags))
                 std::fprintf(stderr,
                              "warning: unknown debug flag in '%s'\n",
@@ -350,55 +216,41 @@ addStandardBenchOptions(ArgParser &parser, BenchArgs &args)
         "FLAGS");
     parser.option(
         "trace-out",
-        [](const std::string &file) {
-            observability().trace = true;
-            observability().traceOut = file;
+        [this](const std::string &file) {
+            trace = true;
+            traceOut = file;
             return true;
         },
         "write the Chrome trace JSON to FILE (implies --trace)",
         "FILE");
-    parser.option("stats-json", &observability().statsJson,
+    parser.option("stats-json", &statsJson,
                   "append per-run stats JSON to FILE (JSONL)");
-    parser.option("epoch", &observability().epoch,
+    parser.option("epoch", &epoch,
                   "snapshot the stats tree every N cycles");
-    parser.flag("epoch-reset", &observability().epochReset,
+    parser.flag("epoch-reset", &epochReset,
                 "epoch snapshots are per-interval deltas, not totals");
     parser.optionalValue(
-        "lat-hist", [] { observability().latHist = true; },
-        [](const std::string &mode) {
-            observability().latHist = true;
-            if (mode == "ctx") {
-                observability().latPerCtx = true;
-                return true;
-            }
-            std::fprintf(stderr,
-                         "--lat-hist only accepts 'ctx' (got '%s')\n",
-                         mode.c_str());
-            return false;
+        "lat-hist", [this] { latHist = true; },
+        [this](const std::string &mode) {
+            if (mode != "ctx")
+                return false;
+            latHist = true;
+            latPerCtx = true;
+            return true;
         },
         "record per-class translation-latency histograms "
         "(=ctx adds a per-context split)",
         "ctx");
-    parser.option(
-        "counters",
-        [](const std::string &value) {
-            std::uint64_t n = 0;
-            if (!parseUnsigned(value, n))
-                return false;
-            observability().counterInterval = n;
-            return true;
-        },
-        "sample Perfetto counter tracks every N cycles "
-        "(needs --trace)",
-        "N");
+    parser.option("counters", &counterInterval,
+                  "sample Perfetto counter tracks every N cycles "
+                  "(needs --trace)");
     parser.optionalValue(
-        "progress", [] { observability().progressSeconds = 2.0; },
-        [](const std::string &value) {
-            char *end = nullptr;
-            double s = std::strtod(value.c_str(), &end);
-            if (!end || *end != '\0' || s < 0)
+        "progress", [this] { progressSeconds = 2.0; },
+        [this](const std::string &value) {
+            double seconds = 0;
+            if (!parseDouble(value, seconds) || seconds < 0)
                 return false;
-            observability().progressSeconds = s;
+            progressSeconds = seconds;
             return true;
         },
         "print a heartbeat line to stderr every SECONDS "
@@ -406,31 +258,26 @@ addStandardBenchOptions(ArgParser &parser, BenchArgs &args)
         "SECONDS");
     parser.option(
         "fault-plan",
-        [](const std::string &file) {
+        [this](const std::string &file) {
             try {
-                faultSelection().plan = sim::FaultPlan::parseFile(file);
+                faultPlan = sim::FaultPlan::parseFile(file);
             } catch (const FatalError &err) {
                 std::fprintf(stderr, "%s\n", err.what());
                 return false;
             }
-            faultSelection().planLoaded = true;
             return true;
         },
         "inject faults per this plan file (see docs)", "FILE");
     parser.option(
         "fabric",
-        [](const std::string &spec) {
+        [this](const std::string &spec) {
             core::OrgConfig probe;
             if (std::string err = core::parseFabricSpec(spec, probe);
                 !err.empty()) {
                 std::fprintf(stderr, "--fabric: %s\n", err.c_str());
                 return false;
             }
-            FabricSelection &sel = fabricSelection();
-            sel.kind = probe.fabricKind;
-            sel.clusterWidth = probe.clusterWidth;
-            sel.clusterHeight = probe.clusterHeight;
-            sel.set = true;
+            fabric = spec;
             return true;
         },
         "NOCSTAR interconnect: flat (default), hier, or hier:WxH "
@@ -438,9 +285,9 @@ addStandardBenchOptions(ArgParser &parser, BenchArgs &args)
         "KIND");
     parser.option(
         "sample",
-        [](const std::string &spec) {
-            SamplingSelection &sel = samplingSelection();
-            if (!parseSampleSpec(spec, sel.sampling)) {
+        [this](const std::string &spec) {
+            cpu::SamplingConfig parsed;
+            if (!parseSampleSpec(spec, parsed)) {
                 std::fprintf(
                     stderr,
                     "--sample expects WINDOWS,DETAIL[,FF[,WARMUP]] "
@@ -448,7 +295,7 @@ addStandardBenchOptions(ArgParser &parser, BenchArgs &args)
                     spec.c_str());
                 return false;
             }
-            sel.samplingSet = true;
+            sampling = parsed;
             return true;
         },
         "SMARTS-style sampled simulation: WINDOWS detail windows of "
@@ -456,48 +303,58 @@ addStandardBenchOptions(ArgParser &parser, BenchArgs &args)
         "between them (0 = derive from run length) after WARMUP "
         "functional warming",
         "SPEC");
-    parser.option(
-        "checkpoint",
-        [](const std::string &file) {
-            samplingSelection().checkpointSave = file;
-            return true;
-        },
-        "save a checkpoint of the warmed functional state to FILE, "
-        "then keep running",
-        "FILE");
-    parser.option(
-        "restore",
-        [](const std::string &file) {
-            samplingSelection().checkpointRestore = file;
-            return true;
-        },
-        "restore warmed state from FILE instead of re-warming "
-        "(config fingerprint must match)",
-        "FILE");
+    parser.option("checkpoint", &checkpointSave,
+                  "save a checkpoint of the warmed functional state to "
+                  "FILE, then keep running");
+    parser.option("restore", &checkpointRestore,
+                  "restore warmed state from FILE instead of re-warming "
+                  "(config fingerprint must match)");
     parser.option(
         "fault-seed",
-        [](const std::string &value) {
-            FaultSelection &faults = faultSelection();
-            if (!parseUnsigned(value, faults.seed))
+        [this](const std::string &value) {
+            std::uint64_t seed = 0;
+            if (!parseUnsigned(value, seed))
                 return false;
-            faults.seedSet = true;
+            faultSeed = seed;
             return true;
         },
         "override the fault plan's random seed", "N");
+    parser.check([this]() -> std::string {
+        return faultSeed && !faultPlan
+                   ? "--fault-seed needs --fault-plan (there is no "
+                     "plan whose seed it could override)"
+                   : "";
+    });
 }
+
+/** One simulation of a sweep: a configuration plus its run length. */
+struct SimJob
+{
+    cpu::SystemConfig config;
+    std::uint64_t accesses = defaultAccesses;
+};
+
+/** The command line of a sweep bench: run length, pool size, and the
+ * run options it shares with examples/simulate. */
+struct BenchArgs
+{
+    std::uint64_t accesses;
+    /** --jobs N; 0 = NOCSTAR_JOBS, then hardware concurrency. */
+    unsigned jobs = 0;
+    RunOptions run = {};
+};
 
 /**
  * Build a parser preloaded with the standard bench surface: the
- * optional ACCESSES positional (unless @p with_accesses is false)
- * plus everything addStandardBenchOptions() registers. Benches with
- * extra knobs add their own specs to the returned parser, then call
- * finalizeBenchArgs().
+ * optional ACCESSES positional (unless @p with_accesses is false),
+ * --jobs, and every RunOptions flag, all writing into @p args. Benches
+ * with extra knobs add their own specs to the returned parser, then
+ * call parseOrExit().
  */
 inline ArgParser
 makeBenchParser(int argc, char **argv, const std::string &description,
                 BenchArgs &args, bool with_accesses = true)
 {
-    (void)argc;
     std::string program =
         argc > 0 && argv && argv[0] ? argv[0] : "bench";
     if (std::size_t slash = program.rfind('/');
@@ -508,70 +365,96 @@ makeBenchParser(int argc, char **argv, const std::string &description,
         parser.positional("ACCESSES", &args.accesses,
                           "accesses per thread (default " +
                               std::to_string(args.accesses) + ")");
-    addStandardBenchOptions(parser, args);
+    parser.option("jobs", &args.jobs,
+                  "parallel sweep workers (default: NOCSTAR_JOBS, "
+                  "then hardware concurrency)");
+    args.run.addTo(parser);
     return parser;
 }
 
 /**
- * parseOrExit() and apply the cross-option rules: --trace forces a
- * single job (the structured recorder is one process-wide ring, so
- * concurrent simulations would interleave their events); the fault
- * seed override lands on the loaded plan regardless of option order;
- * an absent --jobs falls back to NOCSTAR_JOBS, then hardware
- * concurrency. (Stats JSON / epoch snapshots do NOT force one job:
- * SweepHarness redirects each parallel simulation to its own temp
- * file and merges them in input order, so the JSONL is byte-identical
- * at any job count. A fault plan doesn't force one job either --
- * fault injection is deterministic at any sweep parallelism.)
- */
-inline BenchArgs
-finalizeBenchArgs(ArgParser &parser, int argc, char **argv,
-                  BenchArgs &args)
-{
-    parser.parseOrExit(argc, argv);
-    Observability &obs = observability();
-    if (obs.trace) {
-        if (args.jobs > 1)
-            std::fprintf(stderr,
-                         "note: --trace forces --jobs 1\n");
-        args.jobs = 1;
-        sim::TraceRecorder::global().start();
-    }
-    FaultSelection &faults = faultSelection();
-    if (faults.seedSet)
-        faults.plan.seed = faults.seed;
-    faults.configured = faults.planLoaded;
-    if (args.jobs == 0)
-        args.jobs = sim::defaultJobs();
-    return args;
-}
-
-/**
  * The standard bench command line: `[ACCESSES] [--jobs N]` plus the
- * observability and fault-injection options, with auto-generated
- * --help. Unknown flags and non-numeric values are fatal (exit 2).
+ * run options, with auto-generated --help. Unknown flags and
+ * non-numeric values are fatal (exit 2).
  */
 inline BenchArgs
 parseBenchArgs(int argc, char **argv, std::uint64_t default_accesses,
                const std::string &description = "")
 {
-    BenchArgs args{default_accesses, 0};
+    BenchArgs args{default_accesses};
     ArgParser parser = makeBenchParser(argc, argv, description, args);
-    return finalizeBenchArgs(parser, argc, argv, args);
+    parser.parseOrExit(argc, argv);
+    return args;
 }
 
 /**
- * Wall-clock accounting and the worker pool for one bench's sweeps.
- * On finish() (or destruction) it prints a summary to stderr and
- * writes BENCH_<name>.json into the working directory.
+ * Refuse @p flag on a bench that sets @p axis per row itself: the
+ * run-wide option would override every row, whatever its label says.
+ * @p parser must stay where it is until it has parsed.
+ */
+inline void
+rejectSweptFlag(ArgParser &parser, const std::string &flag,
+                const std::string &axis)
+{
+    parser.check([&parser, flag, axis]() -> std::string {
+        if (!parser.seen(flag))
+            return "";
+        return "--" + flag + " is not accepted here: this bench sets " +
+               axis + " per row itself";
+    });
+}
+
+/**
+ * Stop the structured-trace recorder and write what it captured as
+ * Chrome trace JSON to @p path, or `<name>_trace.json` when @p path is
+ * empty. The file is written even when nothing was captured, so
+ * `--trace-out FILE` always leaves FILE behind.
+ */
+inline void
+exportTrace(const std::string &name, const std::string &path)
+{
+    const std::string file = path.empty() ? name + "_trace.json" : path;
+    sim::TraceRecorder &rec = sim::TraceRecorder::global();
+    rec.stop();
+    if (rec.exportChromeJson(file))
+        std::fprintf(stderr,
+                     "[%s] wrote %llu trace events to %s "
+                     "(%llu dropped)\n",
+                     name.c_str(),
+                     static_cast<unsigned long long>(rec.size()),
+                     file.c_str(),
+                     static_cast<unsigned long long>(rec.dropped()));
+    else
+        std::fprintf(stderr, "[%s] cannot write %s\n", name.c_str(),
+                     file.c_str());
+}
+
+/**
+ * The one way a bench runs simulations: the run options, the worker
+ * pool, and wall-clock accounting for one bench. On finish() (or
+ * destruction) it prints a summary to stderr, writes BENCH_<name>.json
+ * into the working directory and exports the --trace capture.
  */
 class SweepHarness
 {
   public:
-    SweepHarness(std::string name, unsigned jobs)
-        : name_(std::move(name)), pool_(jobs),
+    /**
+     * @p jobs sizes the pool (0 = NOCSTAR_JOBS, then hardware
+     * concurrency). --trace forces one worker: the structured recorder
+     * is one process-wide ring, so concurrent simulations would
+     * interleave their events.
+     */
+    SweepHarness(std::string name, RunOptions options, unsigned jobs)
+        : name_(std::move(name)), options_(std::move(options)),
+          pool_(options_.trace ? 1 : jobs),
           start_(std::chrono::steady_clock::now())
-    {}
+    {
+        if (options_.trace) {
+            if (jobs > 1)
+                std::fprintf(stderr, "note: --trace forces --jobs 1\n");
+            sim::TraceRecorder::global().start();
+        }
+    }
 
     ~SweepHarness() { finish(); }
 
@@ -581,10 +464,22 @@ class SweepHarness
     unsigned jobs() const { return pool_.size() > 0 ? pool_.size() : 1; }
 
     /**
+     * @p config with the run options applied and validated: the step
+     * runMany() takes for every job, for the callers that must hold
+     * the cpu::System themselves. Exits 2 on an invalid config.
+     */
+    cpu::SystemConfig
+    prepare(const cpu::SystemConfig &config) const
+    {
+        return prepare(std::vector<SimJob>{SimJob{config}}).front().config;
+    }
+
+    /**
      * Run every job on the pool; results are returned in input order,
      * so downstream printing is independent of the job count. All
      * configurations are validated up front, so a bad sweep reports
-     * every problem and exits before burning any simulation time.
+     * every problem and exits before burning any simulation time. A
+     * single job always runs on the calling thread.
      *
      * When --stats-json is active on a parallel sweep, each
      * simulation appends to its own temp file (sink + ".tmpN", N a
@@ -595,32 +490,17 @@ class SweepHarness
     std::vector<cpu::RunResult>
     runMany(const std::vector<SimJob> &jobs)
     {
-        const Observability &obs = observability();
+        std::vector<SimJob> applied = prepare(jobs);
         const bool split_stats =
-            !obs.statsJson.empty() && pool_.size() > 1;
-        std::vector<SimJob> applied;
-        applied.reserve(jobs.size());
-        std::vector<std::string> errors;
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            cpu::SystemConfig cfg = applySelections(jobs[i].config);
-            for (const std::string &e : cfg.validate())
-                errors.push_back("job #" + std::to_string(i) + ": " +
-                                 e);
-            if (split_stats)
-                cfg.statsJsonPath =
-                    obs.statsJson + ".tmp" +
+            !options_.statsJson.empty() && pool_.size() > 1;
+        if (split_stats)
+            for (std::size_t i = 0; i < applied.size(); ++i)
+                applied[i].config.statsJsonPath =
+                    options_.statsJson + ".tmp" +
                     std::to_string(simIndex_ + i);
-            applied.push_back(SimJob{std::move(cfg),
-                                     jobs[i].accesses});
-        }
-        if (!errors.empty()) {
-            for (const std::string &e : errors)
-                std::fprintf(stderr, "[%s] invalid config: %s\n",
-                             name_.c_str(), e.c_str());
-            std::exit(2);
-        }
         auto results = pool_.map(applied, [](const SimJob &job) {
-            return runApplied(job.config, job.accesses);
+            cpu::System system(job.config);
+            return system.run(job.accesses);
         });
         if (split_stats)
             mergeStatsTemps(applied);
@@ -674,39 +554,41 @@ class SweepHarness
                          name_.c_str(), path.c_str());
         }
 
-        // Export the structured trace if --trace captured anything.
-        const Observability &obs = observability();
-        if (obs.trace) {
-            const sim::TraceRecorder &rec = sim::TraceRecorder::global();
-            std::string tpath = obs.traceOut.empty()
-                                    ? "TRACE_" + name_ + ".json"
-                                    : obs.traceOut;
-            if (rec.recorded() == 0) {
-                std::fprintf(stderr, "[%s] no trace events captured\n",
-                             name_.c_str());
-            } else if (rec.exportChromeJson(tpath)) {
-                std::fprintf(
-                    stderr,
-                    "[%s] wrote %llu trace events to %s "
-                    "(%llu dropped)\n",
-                    name_.c_str(),
-                    static_cast<unsigned long long>(rec.size()),
-                    tpath.c_str(),
-                    static_cast<unsigned long long>(rec.dropped()));
-            } else {
-                std::fprintf(stderr, "[%s] cannot write %s\n",
-                             name_.c_str(), tpath.c_str());
-            }
-        }
+        if (options_.trace)
+            exportTrace(name_, options_.traceOut);
     }
 
   private:
+    /** Lay the run options over every job and validate the lot;
+     * exits 2 listing every problem. */
+    std::vector<SimJob>
+    prepare(const std::vector<SimJob> &jobs) const
+    {
+        std::vector<SimJob> applied;
+        applied.reserve(jobs.size());
+        std::vector<std::string> errors;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            cpu::SystemConfig cfg = options_.apply(jobs[i].config);
+            for (const std::string &e : cfg.validate())
+                errors.push_back("job #" + std::to_string(i) + ": " +
+                                 e);
+            applied.push_back(SimJob{std::move(cfg), jobs[i].accesses});
+        }
+        if (!errors.empty()) {
+            for (const std::string &e : errors)
+                std::fprintf(stderr, "[%s] invalid config: %s\n",
+                             name_.c_str(), e.c_str());
+            std::exit(2);
+        }
+        return applied;
+    }
+
     /** Concatenate the per-sim stats temp files onto the shared sink
      * in input order, then remove them. */
     void
     mergeStatsTemps(const std::vector<SimJob> &applied)
     {
-        const std::string &sink = observability().statsJson;
+        const std::string &sink = options_.statsJson;
         std::ofstream out(sink, std::ios::app | std::ios::binary);
         if (!out) {
             std::fprintf(stderr, "[%s] cannot append to %s\n",
@@ -726,6 +608,7 @@ class SweepHarness
     }
 
     std::string name_;
+    RunOptions options_;
     sim::ThreadPool pool_;
     std::chrono::steady_clock::time_point start_;
     /** Sweep-wide sim counter: unique temp-file suffixes across

@@ -18,7 +18,7 @@ int
 main(int argc, char **argv)
 {
     unsigned cores = 32;
-    bench::BenchArgs args{bench::defaultAccesses, 0};
+    bench::BenchArgs args{bench::defaultAccesses};
     bench::ArgParser parser = bench::makeBenchParser(
         argc, argv,
         "calibration harness: per-workload statistics the paper pins "
@@ -28,32 +28,34 @@ main(int argc, char **argv)
     parser.positional("ACCESSES", &args.accesses,
                       "accesses per thread (default " +
                           std::to_string(args.accesses) + ")");
-    bench::finalizeBenchArgs(parser, argc, argv, args);
-    std::uint64_t accesses = args.accesses;
+    parser.parseOrExit(argc, argv);
+
+    // Per workload: private, then the four shared organizations.
+    const core::OrgKind kinds[] = {
+        core::OrgKind::Private, core::OrgKind::MonolithicMesh,
+        core::OrgKind::Distributed, core::OrgKind::Nocstar,
+        core::OrgKind::IdealShared};
+    std::vector<bench::SimJob> jobs;
+    for (const auto &spec : workload::paperWorkloads())
+        for (core::OrgKind kind : kinds)
+            jobs.push_back(
+                {bench::makeConfig(kind, cores, spec), args.accesses});
+    bench::SweepHarness harness("calibrate", args.run, args.jobs);
+    auto results = harness.runMany(jobs);
+    const cpu::RunResult *next = results.data();
 
     std::printf("calibration @ %u cores, %llu accesses/thread\n", cores,
-                static_cast<unsigned long long>(accesses));
+                static_cast<unsigned long long>(args.accesses));
     std::printf("%-16s %6s %6s %6s %6s %6s %6s | %6s %6s %6s %6s\n",
                 "workload", "l1m%", "l2m%", "elim%", "walk", ">L2%",
                 "ipcP", "mono", "dist", "nstar", "ideal");
 
     for (const auto &spec : workload::paperWorkloads()) {
-        auto priv = bench::runOnce(
-            bench::makeConfig(core::OrgKind::Private, cores, spec),
-            accesses);
-        auto mono = bench::runOnce(
-            bench::makeConfig(core::OrgKind::MonolithicMesh, cores,
-                              spec),
-            accesses);
-        auto dist = bench::runOnce(
-            bench::makeConfig(core::OrgKind::Distributed, cores, spec),
-            accesses);
-        auto nstar = bench::runOnce(
-            bench::makeConfig(core::OrgKind::Nocstar, cores, spec),
-            accesses);
-        auto ideal = bench::runOnce(
-            bench::makeConfig(core::OrgKind::IdealShared, cores, spec),
-            accesses);
+        const cpu::RunResult &priv = *next++;
+        const cpu::RunResult &mono = *next++;
+        const cpu::RunResult &dist = *next++;
+        const cpu::RunResult &nstar = *next++;
+        const cpu::RunResult &ideal = *next++;
 
         double l1m = priv.l1Accesses
             ? 100.0 * static_cast<double>(priv.l1Misses) /

@@ -19,8 +19,26 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, 6000,
         "Fig 4: ideal monolithic shared-L2 speedup vs access latency");
-    std::uint64_t accesses = args.accesses;
     const Cycle latencies[] = {25, 16, 11, 9};
+
+    // Per workload: the private baseline, then the monolithic shared
+    // L2 at each access latency.
+    std::vector<bench::SimJob> jobs;
+    for (const auto &spec : workload::paperWorkloads()) {
+        jobs.push_back({bench::makeConfig(core::OrgKind::Private, cores,
+                                          spec),
+                        args.accesses});
+        for (Cycle latency : latencies) {
+            auto config = bench::makeConfig(
+                core::OrgKind::MonolithicMesh, cores, spec);
+            config.org.monolithicAccessOverride = latency;
+            jobs.push_back({config, args.accesses});
+        }
+    }
+    bench::SweepHarness harness("fig04_monolithic_speedup", args.run,
+                                args.jobs);
+    auto results = harness.runMany(jobs);
+    const cpu::RunResult *next = results.data();
 
     std::printf("Fig 4: monolithic shared L2 TLB speedup vs private, "
                 "32 cores\n");
@@ -29,16 +47,10 @@ main(int argc, char **argv)
 
     std::vector<double> averages(4, 0.0);
     for (const auto &spec : workload::paperWorkloads()) {
-        auto priv = bench::runOnce(
-            bench::makeConfig(core::OrgKind::Private, cores, spec),
-            accesses);
+        const cpu::RunResult &priv = *next++;
         std::vector<double> row;
         for (std::size_t i = 0; i < 4; ++i) {
-            auto config = bench::makeConfig(
-                core::OrgKind::MonolithicMesh, cores, spec);
-            config.org.monolithicAccessOverride = latencies[i];
-            auto shared = bench::runOnce(config, accesses);
-            double speedup = bench::speedupVsPrivate(priv, shared);
+            double speedup = bench::speedupVsPrivate(priv, *next++);
             row.push_back(speedup);
             averages[i] += speedup / 11.0;
         }

@@ -18,7 +18,14 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, 6000,
         "Fig 5: concurrent-access distribution at a shared L2 TLB");
-    std::uint64_t accesses = args.accesses;
+    std::vector<bench::SimJob> jobs;
+    for (const auto &spec : workload::paperWorkloads())
+        jobs.push_back({bench::makeConfig(core::OrgKind::Distributed,
+                                          cores, spec),
+                        args.accesses});
+    bench::SweepHarness harness("fig05_contention", args.run, args.jobs);
+    auto results = harness.runMany(jobs);
+    const cpu::RunResult *next = results.data();
 
     static const char *bucket_names[] = {"1", "2-4", "5-8", "9-12",
                                          "13-16", "17-20", "21-24",
@@ -33,9 +40,7 @@ main(int argc, char **argv)
 
     std::vector<double> averages(9, 0.0);
     for (const auto &spec : workload::paperWorkloads()) {
-        auto result = bench::runOnce(
-            bench::makeConfig(core::OrgKind::Distributed, cores, spec),
-            accesses);
+        const cpu::RunResult &result = *next++;
         std::printf("%-16s", spec.name.c_str());
         for (std::size_t i = 0; i < 9; ++i) {
             std::printf("%8.3f", result.concurrencyBuckets[i]);

@@ -19,30 +19,35 @@ constexpr const char *bucketNames[] = {"1", "2-4", "5-8", "9-12",
                                        "13-16", "17-20", "21-24",
                                        "25-28", "29+"};
 
-std::vector<double>
-averageBuckets(unsigned cores, double l1_scale, std::uint64_t accesses,
-               bool per_slice)
+/** Queue one distributed-L2 run per workload. */
+void
+addWorkloads(std::vector<bench::SimJob> &jobs, unsigned cores,
+             double l1_scale, std::uint64_t accesses)
 {
-    std::vector<double> avg(9, 0.0);
     for (const auto &spec : workload::paperWorkloads()) {
         auto config = bench::makeConfig(core::OrgKind::Distributed,
                                         cores, spec);
         config.l1.scale = l1_scale;
-        auto result = bench::runOnce(config, accesses);
+        jobs.push_back({config, accesses});
+    }
+}
+
+/** Print the buckets of the next result per workload, averaged. */
+void
+printBuckets(const char *label, const cpu::RunResult *&next,
+             bool per_slice)
+{
+    std::vector<double> avg(9, 0.0);
+    for (std::size_t w = 0; w < workload::paperWorkloads().size();
+         ++w, ++next) {
         const auto &buckets = per_slice
-            ? result.sliceConcurrencyBuckets
-            : result.concurrencyBuckets;
+            ? next->sliceConcurrencyBuckets
+            : next->concurrencyBuckets;
         for (std::size_t i = 0; i < 9; ++i)
             avg[i] += buckets[i] / 11.0;
     }
-    return avg;
-}
-
-void
-printBuckets(const char *label, const std::vector<double> &buckets)
-{
     std::printf("%-12s", label);
-    for (double b : buckets)
+    for (double b : avg)
         std::printf("%8.3f", b);
     std::printf("\n");
 }
@@ -56,6 +61,20 @@ main(int argc, char **argv)
         argc, argv, 4000,
         "Fig 6: chip-wide / per-slice concurrency vs core count");
     std::uint64_t base = args.accesses;
+    const unsigned bigCores[] = {64u, 128u, 256u, 512u};
+    const unsigned sliceCounts[] = {32u, 64u, 128u, 256u, 512u};
+
+    std::vector<bench::SimJob> jobs;
+    for (double l1_scale : {1.0, 0.5, 1.5})
+        addWorkloads(jobs, 32, l1_scale, base);
+    for (unsigned cores : bigCores)
+        addWorkloads(jobs, cores, 1.0, base * 32 / cores + 500);
+    for (unsigned cores : sliceCounts)
+        addWorkloads(jobs, cores, 1.0, base * 32 / cores + 500);
+    bench::SweepHarness harness("fig06_contention_sweep", args.run,
+                                args.jobs);
+    auto results = harness.runMany(jobs);
+    const cpu::RunResult *next = results.data();
 
     std::printf("Fig 6 (left): chip-wide concurrency, averaged across "
                 "workloads\n");
@@ -64,15 +83,13 @@ main(int argc, char **argv)
         std::printf("%8s", b);
     std::printf("\n");
 
-    printBuckets("baseline", averageBuckets(32, 1.0, base, false));
-    printBuckets("0.5x-L1", averageBuckets(32, 0.5, base, false));
-    printBuckets("1.5x-L1", averageBuckets(32, 1.5, base, false));
-    for (unsigned cores : {64u, 128u, 256u, 512u}) {
-        std::uint64_t accesses = base * 32 / cores + 500;
+    printBuckets("baseline", next, false);
+    printBuckets("0.5x-L1", next, false);
+    printBuckets("1.5x-L1", next, false);
+    for (unsigned cores : bigCores) {
         char label[32];
         std::snprintf(label, sizeof(label), "%u-cores", cores);
-        printBuckets(label, averageBuckets(cores, 1.0, accesses,
-                                           false));
+        printBuckets(label, next, false);
     }
 
     std::printf("\nFig 6 (right): per-slice concurrency, distributed "
@@ -81,11 +98,10 @@ main(int argc, char **argv)
     for (const char *b : bucketNames)
         std::printf("%8s", b);
     std::printf("\n");
-    for (unsigned cores : {32u, 64u, 128u, 256u, 512u}) {
-        std::uint64_t accesses = base * 32 / cores + 500;
+    for (unsigned cores : sliceCounts) {
         char label[32];
         std::snprintf(label, sizeof(label), "%u", cores);
-        printBuckets(label, averageBuckets(cores, 1.0, accesses, true));
+        printBuckets(label, next, true);
     }
     return 0;
 }

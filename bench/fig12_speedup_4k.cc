@@ -38,7 +38,7 @@ main(int argc, char **argv)
                                               /*superpages=*/false),
                             args.accesses});
 
-    bench::SweepHarness harness("fig12_speedup_4k", args.jobs);
+    bench::SweepHarness harness("fig12_speedup_4k", args.run, args.jobs);
     auto results = harness.runMany(jobs);
 
     std::vector<double> averages(4, 0.0);

@@ -35,7 +35,7 @@ main(int argc, char **argv)
             jobs.push_back(
                 {bench::makeConfig(kind, cores, spec), args.accesses});
 
-    bench::SweepHarness harness("fig13_speedup_superpages", args.jobs);
+    bench::SweepHarness harness("fig13_speedup_superpages", args.run, args.jobs);
     auto results = harness.runMany(jobs);
 
     std::vector<double> averages(4, 0.0);

@@ -44,7 +44,7 @@ main(int argc, char **argv)
                     {bench::makeConfig(kind, cores, spec), accesses});
     }
 
-    bench::SweepHarness harness("fig14_scalability_energy", args.jobs);
+    bench::SweepHarness harness("fig14_scalability_energy", args.run, args.jobs);
     auto results = harness.runMany(jobs);
 
     std::printf("Fig 14: scalability and translation energy savings\n");

@@ -39,7 +39,7 @@ main(int argc, char **argv)
                 {bench::makeConfig(kind, cores, spec), args.accesses});
 
     bench::SweepHarness harness("fig15_interconnect_breakdown",
-                                args.jobs);
+                                args.run, args.jobs);
     auto results = harness.runMany(jobs);
 
     std::vector<double> averages(6, 0.0);

@@ -76,7 +76,7 @@ main(int argc, char **argv)
             jobs.push_back({bench::makeMixConfig(combo, kind, 32),
                             args.accesses});
 
-    bench::SweepHarness harness("fig18_multiprogrammed", args.jobs);
+    bench::SweepHarness harness("fig18_multiprogrammed", args.run, args.jobs);
     auto results = harness.runMany(jobs);
 
     std::vector<std::vector<double>> throughput(3), min_app(3);

@@ -99,7 +99,7 @@ main(int argc, char **argv)
                                  /*hotspot_slice=*/0);
     jobs.insert(jobs.end(), hotspotJobs.begin(), hotspotJobs.end());
 
-    bench::SweepHarness harness("fig19_tlb_storm", args.jobs);
+    bench::SweepHarness harness("fig19_tlb_storm", args.run, args.jobs);
     auto results = harness.runMany(jobs);
 
     std::printf("Fig 19: TLB storm microbenchmark, average speedup vs "

@@ -51,7 +51,8 @@ struct Measurement
 };
 
 Measurement
-measure(const char *label, core::OrgKind kind, std::uint64_t accesses)
+measure(SweepHarness &harness, const char *label, core::OrgKind kind,
+        std::uint64_t accesses)
 {
     // Fig 18 methodology: four paper apps, cores/4 threads each.
     cpu::SystemConfig config =
@@ -59,18 +60,11 @@ measure(const char *label, core::OrgKind kind, std::uint64_t accesses)
 
     // Untimed warmup run absorbs first-touch page-table allocation,
     // cold branch predictors and allocator warmup.
-    runOnce(config, accesses / 4);
+    harness.runMany({{config, accesses / 4}});
 
     // The timed run holds its System, so the bypass streak stat can
-    // be read back after run() (runOnce() discards it).
-    cpu::SystemConfig cfg = applySelections(config);
-    if (std::vector<std::string> errors = cfg.validate();
-        !errors.empty()) {
-        for (const std::string &e : errors)
-            std::fprintf(stderr, "invalid config: %s\n", e.c_str());
-        std::exit(2);
-    }
-    cpu::System system(cfg);
+    // be read back after run().
+    cpu::System system(harness.prepare(config));
     auto start = std::chrono::steady_clock::now();
     cpu::RunResult result = system.run(accesses);
     double wall = std::chrono::duration<double>(
@@ -121,7 +115,7 @@ loadBaselineAggregate(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args{20000, 0};
+    bench::BenchArgs args{20000};
     std::string baseline_path;
     bench::ArgParser parser = bench::makeBenchParser(
         argc, argv,
@@ -129,8 +123,11 @@ main(int argc, char **argv)
     parser.option("baseline-json", &baseline_path,
                   "prior BENCH_hotpath.json to print the speedup "
                   "against");
-    bench::finalizeBenchArgs(parser, argc, argv, args);
+    parser.parseOrExit(argc, argv);
     std::uint64_t accesses = args.accesses;
+    // One job whatever --jobs says: the number measures the
+    // single-stream hot path, and a single job runs on this thread.
+    bench::SweepHarness harness("bench_hotpath", args.run, 1);
 
     std::printf("Simulator hot-path throughput "
                 "(fig18-style mix, 32 cores, serial)\n");
@@ -139,8 +136,8 @@ main(int argc, char **argv)
                 "mean streak");
 
     Measurement runs[] = {
-        measure("private", core::OrgKind::Private, accesses),
-        measure("nocstar", core::OrgKind::Nocstar, accesses),
+        measure(harness, "private", core::OrgKind::Private, accesses),
+        measure(harness, "nocstar", core::OrgKind::Nocstar, accesses),
     };
     double total_accesses = 0, total_wall = 0;
     for (const Measurement &m : runs) {

@@ -61,14 +61,17 @@ wallSeconds(std::chrono::steady_clock::time_point start)
 }
 
 Row
-measure(const char *name, core::OrgKind kind, std::uint64_t accesses)
+measure(bench::SweepHarness &harness, const char *name,
+        core::OrgKind kind, std::uint64_t accesses)
 {
     const auto &spec = workload::paperWorkloads()[0];
     cpu::SystemConfig config =
         bench::makeConfig(kind, 16, spec, /*superpages=*/false);
 
+    // One job per runMany() call, so each timed run is alone on this
+    // thread.
     auto start = std::chrono::steady_clock::now();
-    cpu::RunResult full = bench::runOnce(config, accesses);
+    cpu::RunResult full = harness.runMany({{config, accesses}}).front();
     double full_seconds = wallSeconds(start);
 
     cpu::SystemConfig sampled_config = config;
@@ -76,7 +79,8 @@ measure(const char *name, core::OrgKind kind, std::uint64_t accesses)
     sampled_config.sampling.detailAccesses = kDetailAccesses;
     sampled_config.sampling.warmupAccesses = kWarmupAccesses;
     start = std::chrono::steady_clock::now();
-    cpu::RunResult sampled = bench::runOnce(sampled_config, accesses);
+    cpu::RunResult sampled =
+        harness.runMany({{sampled_config, accesses}}).front();
     double sampled_seconds = wallSeconds(start);
 
     Row row;
@@ -142,12 +146,15 @@ jsonRow(std::FILE *f, const Row &r, bool first)
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args{/*accesses=*/2000000, /*jobs=*/1};
+    bench::BenchArgs args{/*accesses=*/2000000};
     bench::ArgParser parser = bench::makeBenchParser(
         argc, argv,
         "sampled-simulation accuracy and speedup on Fig 12 configs",
         args);
-    bench::finalizeBenchArgs(parser, argc, argv, args);
+    // --sample would turn the full-detail baseline into a sampled run.
+    bench::rejectSweptFlag(parser, "sample", "sampling");
+    parser.parseOrExit(argc, argv);
+    bench::SweepHarness harness("sampling_accuracy", args.run, 1);
 
     std::printf("Sampled simulation vs full detail, 16 cores, 4 KB "
                 "pages, %u windows x %llu accesses/thread detail\n",
@@ -162,7 +169,7 @@ main(int argc, char **argv)
     std::fprintf(stderr, "[sampling_accuracy] gated NOCSTAR run, %llu "
                          "accesses per thread...\n",
                  static_cast<unsigned long long>(args.accesses));
-    Row gate = measure("nocstar", core::OrgKind::Nocstar,
+    Row gate = measure(harness, "nocstar", core::OrgKind::Nocstar,
                        args.accesses);
     printRow(gate);
 
@@ -184,7 +191,8 @@ main(int argc, char **argv)
     for (const Kind &k : kinds) {
         std::fprintf(stderr, "[sampling_accuracy] %s error row...\n",
                      k.name);
-        rows.push_back(measure(k.name, k.kind, args.accesses / 8));
+        rows.push_back(
+            measure(harness, k.name, k.kind, args.accesses / 8));
         printRow(rows.back());
     }
 

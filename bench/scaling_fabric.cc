@@ -69,7 +69,7 @@ parseTilesList(const std::string &value, std::vector<unsigned> &out)
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args{/*accesses=*/2000, /*jobs=*/1};
+    bench::BenchArgs args{/*accesses=*/2000};
     std::vector<unsigned> tileCounts{64, 256, 1024};
     bench::ArgParser parser = bench::makeBenchParser(
         argc, argv,
@@ -81,7 +81,11 @@ main(int argc, char **argv)
             return parseTilesList(value, tileCounts);
         },
         "comma-separated tile counts (default 64,256,1024)", "LIST");
-    bench::finalizeBenchArgs(parser, argc, argv, args);
+    bench::rejectSweptFlag(parser, "fabric", "the fabric");
+    parser.parseOrExit(argc, argv);
+    // Serial whatever --jobs says (a single job runs on this thread),
+    // so each peak-RSS snapshot belongs to one system at a time.
+    bench::SweepHarness harness("scaling_fabric", args.run, 1);
 
     const auto &spec = workload::paperWorkloads()[0];
     std::vector<Row> rows;
@@ -105,9 +109,9 @@ main(int argc, char **argv)
         std::fprintf(stderr, "[scaling_fabric] %u tiles, %llu accesses "
                      "per thread...\n", tiles,
                      static_cast<unsigned long long>(accesses));
-        cpu::RunResult base = bench::runOnce(
-            bench::makeConfig(core::OrgKind::Private, tiles, spec),
-            accesses);
+        cpu::SystemConfig priv =
+            bench::makeConfig(core::OrgKind::Private, tiles, spec);
+        cpu::RunResult base = harness.runMany({{priv, accesses}}).front();
         struct Variant
         {
             const char *name;
@@ -123,8 +127,10 @@ main(int argc, char **argv)
              core::SliceMapping::ClusterLocal},
         };
         for (const Variant &v : variants) {
-            cpu::RunResult r = bench::runOnce(
-                nocstarConfig(tiles, v.kind, v.mapping), accesses);
+            cpu::SystemConfig config =
+                nocstarConfig(tiles, v.kind, v.mapping);
+            cpu::RunResult r =
+                harness.runMany({{config, accesses}}).front();
             rows.push_back({tiles, v.name,
                             bench::speedupVsPrivate(base, r),
                             r.fabricRetryRate, r.fabricGrantWaitP99Max,
@@ -147,8 +153,8 @@ main(int argc, char **argv)
         for (auto [label, kind] :
              {std::pair{"flat", core::FabricKind::Flat},
               std::pair{"hier", core::FabricKind::Hierarchical}}) {
-            cpu::System system(bench::applySelections(nocstarConfig(
-                tiles, kind, core::SliceMapping::RowMajor)));
+            cpu::System system(harness.prepare(
+                nocstarConfig(tiles, kind, core::SliceMapping::RowMajor)));
             audits.push_back({label, system.memoryAudit()});
         }
     }

@@ -90,7 +90,7 @@ main(int argc, char **argv)
         }
     }
 
-    bench::SweepHarness harness("tab3_sensitivity", args.jobs);
+    bench::SweepHarness harness("tab3_sensitivity", args.run, args.jobs);
     auto results = harness.runMany(jobs);
 
     const std::size_t rowStride = specs.size() * numKinds;

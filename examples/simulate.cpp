@@ -10,18 +10,17 @@
  *       --fault-plan outage.plan
  *
  * Run with --help for the full flag list. Both `--flag value` and
- * `--flag=value` spellings work.
+ * `--flag=value` spellings work. The observability, fault, fabric,
+ * sampling and checkpoint flags are bench::RunOptions, the same set
+ * every bench takes.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
-#include "bench/arg_parser.hh"
 #include "bench/bench_common.hh"
 #include "cpu/system.hh"
-#include "sim/fault.hh"
 #include "sim/trace_recorder.hh"
 
 using namespace nocstar;
@@ -66,8 +65,7 @@ main(int argc, char **argv)
     bool no_superpages = false;
     bool storm = false;
     bool dump_stats = false;
-    bool do_trace = false;
-    std::string trace_out = "simulate_trace.json";
+    bench::RunOptions options;
 
     bench::ArgParser parser(
         "simulate",
@@ -122,21 +120,6 @@ main(int argc, char **argv)
     parser.option("hpcmax", &config.org.hpcMax,
                   "fabric hops per cycle (default 16)");
     parser.option(
-        "fabric",
-        [&config](const std::string &value) {
-            if (std::string err =
-                    core::parseFabricSpec(value, config.org);
-                !err.empty()) {
-                std::fprintf(stderr, "simulate: --fabric: %s\n",
-                             err.c_str());
-                return false;
-            }
-            return true;
-        },
-        "flat (default), hier, or hier:WxH cluster geometry "
-        "(NOCSTAR orgs only)",
-        "KIND");
-    parser.option(
         "slice-map",
         [&config](const std::string &value) {
             if (value != "row-major" && value != "cluster-local")
@@ -168,99 +151,11 @@ main(int argc, char **argv)
                   "FILE");
     parser.option("capture", &config.captureTracePath,
                   "capture the address trace to FILE", "FILE");
-    parser.flag("trace", &do_trace,
-                "record structured events (Chrome/Perfetto JSON)");
-    parser.option(
-        "trace-out",
-        [&do_trace, &trace_out](const std::string &file) {
-            do_trace = true;
-            trace_out = file;
-            return true;
-        },
-        "trace JSON destination (default simulate_trace.json; "
-        "implies --trace)",
-        "FILE");
-    parser.option(
-        "counters",
-        [&config](const std::string &value) {
-            std::uint64_t n = 0;
-            if (!bench::parseUnsigned(value, n))
-                return false;
-            config.counterInterval = n;
-            return true;
-        },
-        "sample Perfetto counter tracks every N cycles "
-        "(needs --trace)",
-        "N");
-    parser.optionalValue(
-        "progress", [&config] { config.progressSeconds = 2.0; },
-        [&config](const std::string &value) {
-            char *end = nullptr;
-            double s = std::strtod(value.c_str(), &end);
-            if (!end || *end != '\0' || s < 0)
-                return false;
-            config.progressSeconds = s;
-            return true;
-        },
-        "print a heartbeat line to stderr every SECONDS "
-        "(default 2; =0 emits at every check)",
-        "SECONDS");
-    parser.optionalValue(
-        "lat-hist", [&config] { config.latencyStats = true; },
-        [&config](const std::string &mode) {
-            if (mode != "ctx")
-                return false;
-            config.latencyStats = true;
-            config.latencyPerContext = true;
-            return true;
-        },
-        "record per-class translation-latency histograms "
-        "(=ctx adds a per-context split)",
-        "ctx");
     parser.flag("no-superpages", &no_superpages, "4 KB pages only");
     parser.flag("storm", &storm,
                 "enable the TLB-storm microbenchmark");
-    parser.option(
-        "fault-plan",
-        [&config](const std::string &file) {
-            try {
-                config.org.faults = sim::FaultPlan::parseFile(file);
-            } catch (const FatalError &err) {
-                std::fprintf(stderr, "%s\n", err.what());
-                return false;
-            }
-            return true;
-        },
-        "inject faults per this plan file (see docs)", "FILE");
-    parser.option("fault-seed", &config.org.faults.seed,
-                  "override the fault plan's random seed");
-    parser.option(
-        "sample",
-        [&config](const std::string &spec) {
-            if (!bench::parseSampleSpec(spec, config.sampling)) {
-                std::fprintf(
-                    stderr,
-                    "simulate: --sample expects "
-                    "WINDOWS,DETAIL[,FF[,WARMUP]] (got '%s')\n",
-                    spec.c_str());
-                return false;
-            }
-            return true;
-        },
-        "SMARTS-style sampled simulation: WINDOWS detail windows of "
-        "DETAIL accesses/thread, fast-forwarding ~FF accesses/thread "
-        "between them (0 = derive from --accesses) after WARMUP "
-        "functional warming",
-        "SPEC");
-    parser.option("checkpoint", &config.checkpointSavePath,
-                  "save a checkpoint of the warmed state to FILE, "
-                  "then keep running",
-                  "FILE");
-    parser.option("restore", &config.checkpointRestorePath,
-                  "restore warmed state from FILE instead of "
-                  "re-warming (config fingerprint must match)",
-                  "FILE");
     parser.flag("stats", &dump_stats, "dump the full statistics tree");
+    options.addTo(parser);
     parser.parseOrExit(argc, argv);
 
     if (no_superpages)
@@ -270,11 +165,16 @@ main(int argc, char **argv)
         config.stormRemapInterval = 5000;
     }
 
-    config.org.banks = config.org.numCores >= 64 ? 8 : 4;
+    config.org.banks = bench::banksFor(config.org.numCores);
     cpu::AppConfig app{workload::findWorkload(workload_name),
                        threads ? threads : config.org.numCores};
     app.traceFile = trace_file;
     config.apps.push_back(app);
+    // A sweep lays --fabric over its NOCSTAR runs only; this one run
+    // takes it as asked, so validate() rejects it on any other org.
+    if (!options.fabric.empty())
+        core::parseFabricSpec(options.fabric, config.org);
+    config = options.apply(config);
 
     if (std::vector<std::string> errors = config.validate();
         !errors.empty()) {
@@ -284,26 +184,14 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (do_trace)
+    if (options.trace)
         sim::TraceRecorder::global().start();
 
     cpu::System system(config);
     cpu::RunResult result = system.run(accesses);
 
-    if (do_trace) {
-        sim::TraceRecorder &rec = sim::TraceRecorder::global();
-        rec.stop();
-        if (rec.exportChromeJson(trace_out))
-            std::fprintf(stderr,
-                         "simulate: wrote %llu trace events to %s "
-                         "(%llu dropped)\n",
-                         static_cast<unsigned long long>(rec.size()),
-                         trace_out.c_str(),
-                         static_cast<unsigned long long>(rec.dropped()));
-        else
-            std::fprintf(stderr, "simulate: cannot write %s\n",
-                         trace_out.c_str());
-    }
+    if (options.trace)
+        bench::exportTrace("simulate", options.traceOut);
 
     std::printf("org                 : %s\n",
                 core::orgKindName(config.org.kind));

@@ -390,9 +390,11 @@ class System : public stats::StatGroup
          * Batched address buffer: refilled from gen->nextBatch()
          * (capped at the remaining quota so the source's stream
          * position stays exactly where per-access next() calls would
-         * leave it), drained one address per access.
+         * leave it), drained one address per access. Zeroed up front
+         * so a checkpoint, which saves every slot, is byte-identical
+         * across runs.
          */
-        std::array<Addr, addrBatch> batch;
+        std::array<Addr, addrBatch> batch{};
         unsigned batchPos = 0;
         unsigned batchLen = 0;
     };

@@ -3,16 +3,20 @@
  * The bench command-line parser: typed stores, --opt value and
  * --opt=value spellings, flags, optional-value options, positionals,
  * error collection (unknown options, garbage values, missing required
- * arguments) and usage generation.
+ * arguments) and usage generation; and the run options every bench and
+ * examples/simulate register through RunOptions::addTo().
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "bench/arg_parser.hh"
+#include "bench/bench_common.hh"
 
+using namespace nocstar;
 using namespace nocstar::bench;
 
 namespace
@@ -35,6 +39,22 @@ struct Argv
 
     int argc() const { return static_cast<int>(ptrs.size()); }
     char **argv() { return ptrs.data(); }
+};
+
+/** A parser carrying exactly the shared run options. */
+struct RunParser
+{
+    RunOptions options;
+    ArgParser parser{"t", ""};
+
+    RunParser() { options.addTo(parser); }
+
+    bool
+    parse(std::initializer_list<const char *> args)
+    {
+        Argv argv(args);
+        return parser.parse(argv.argc(), argv.argv());
+    }
 };
 
 } // namespace
@@ -262,4 +282,64 @@ TEST(ArgParser, FlagRejectsAttachedValue)
     Argv a{"--fast=1"};
     EXPECT_FALSE(parser.parse(a.argc(), a.argv()));
     EXPECT_FALSE(f);
+}
+
+TEST(RunOptions, FaultSeedOverridesThePlanInEitherOrder)
+{
+    const std::string plan = ::testing::TempDir() + "nocstar_args.plan";
+    std::ofstream(plan) << "grant-loss 0.01\nseed 7\n";
+    RunParser plan_only, seed_last, seed_first;
+    ASSERT_TRUE(plan_only.parse({"--fault-plan", plan.c_str()}));
+    ASSERT_TRUE(seed_last.parse(
+        {"--fault-plan", plan.c_str(), "--fault-seed", "99"}));
+    ASSERT_TRUE(seed_first.parse(
+        {"--fault-seed", "99", "--fault-plan", plan.c_str()}));
+    const cpu::SystemConfig config;
+    EXPECT_EQ(plan_only.options.apply(config).org.faults.seed, 7u);
+    EXPECT_EQ(seed_last.options.apply(config).org.faults.seed, 99u);
+    sim::FaultPlan faults = seed_first.options.apply(config).org.faults;
+    EXPECT_EQ(faults.seed, 99u);
+    EXPECT_DOUBLE_EQ(faults.grantLossProb, 0.01);
+}
+
+TEST(RunOptions, FaultSeedWithoutPlanIsAnError)
+{
+    RunParser run;
+    EXPECT_FALSE(run.parse({"--fault-seed", "99"}));
+    ASSERT_EQ(run.parser.errors().size(), 1u);
+    EXPECT_NE(run.parser.errors()[0].find(
+                  "--fault-seed needs --fault-plan"),
+              std::string::npos);
+}
+
+TEST(RunOptions, MalformedValuesAreRejected)
+{
+    for (const char *arg :
+         {"--sample=8", "--sample=8,x", "--sample=1,2,3,4,5",
+          "--lat-hist=bogus", "--fabric=mesh", "--progress=-1"}) {
+        RunParser run;
+        EXPECT_FALSE(run.parse({arg})) << arg;
+    }
+}
+
+TEST(RunOptions, FabricSkipsOrganizationsWithoutOne)
+{
+    RunParser run;
+    ASSERT_TRUE(run.parse({"--fabric", "hier"}));
+    cpu::SystemConfig config;
+    config.org.kind = core::OrgKind::Private;
+    EXPECT_EQ(run.options.apply(config).org.fabricKind,
+              core::FabricKind::Flat);
+    config.org.kind = core::OrgKind::Nocstar;
+    EXPECT_EQ(run.options.apply(config).org.fabricKind,
+              core::FabricKind::Hierarchical);
+}
+
+TEST(RunOptions, SweptFlagIsRefused)
+{
+    RunParser with_flag, without_flag;
+    rejectSweptFlag(with_flag.parser, "fabric", "the fabric");
+    rejectSweptFlag(without_flag.parser, "fabric", "the fabric");
+    EXPECT_FALSE(with_flag.parse({"--fabric", "hier"}));
+    EXPECT_TRUE(without_flag.parse({"--lat-hist"}));
 }

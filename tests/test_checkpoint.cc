@@ -163,6 +163,35 @@ TEST(Checkpoint, RoundTripAcrossObservabilityKnobs)
     std::remove(path.c_str());
 }
 
+/** Fill stack below the caller with @p value, so an uninitialized
+ * local in a later call reads it instead of whatever was there. */
+[[gnu::noinline]] void
+scrubStack(unsigned char value)
+{
+    volatile unsigned char area[64 * 1024];
+    for (volatile unsigned char &byte : area)
+        byte = value;
+}
+
+TEST(Checkpoint, SavesAreByteIdentical)
+{
+    // Every byte of a checkpoint is a function of its config, so two
+    // saves of one config are the same file, whatever the stack held
+    // before.
+    std::vector<std::vector<std::uint8_t>> saves;
+    for (unsigned char garbage : {0x00, 0xa5}) {
+        const std::string path = ckptPath("repro" + std::to_string(garbage));
+        scrubStack(garbage);
+        SystemConfig config = smallConfig(core::OrgKind::Nocstar);
+        config.checkpointSavePath = path;
+        System(config).run(2000);
+        saves.push_back(readFile(path));
+        std::remove(path.c_str());
+    }
+    ASSERT_FALSE(saves[0].empty());
+    EXPECT_TRUE(saves[0] == saves[1]);
+}
+
 TEST(Checkpoint, MissingFileIsFatal)
 {
     SystemConfig config = smallConfig(core::OrgKind::Private);

@@ -36,17 +36,10 @@ std::vector<SimJob>
 sweepJobs()
 {
     std::vector<SimJob> jobs;
-    for (unsigned i = 0; i < 4; ++i) {
-        cpu::SystemConfig config;
-        config.org.kind = core::OrgKind::Nocstar;
-        config.org.numCores = 8;
-        cpu::AppConfig app;
-        app.spec = workload::testWorkload();
-        app.threads = 8;
-        config.apps.push_back(std::move(app));
-        config.seed = 100 + i;
-        jobs.push_back(SimJob{std::move(config), 1200});
-    }
+    for (unsigned i = 0; i < 4; ++i)
+        jobs.push_back({makeConfig(core::OrgKind::Nocstar, 8,
+                                   workload::testWorkload(), true, 100 + i),
+                        1200});
     return jobs;
 }
 
@@ -56,15 +49,14 @@ sweepDocument(unsigned jobs)
 {
     const std::string sink = "test_sweep_stats.jsonl";
     std::remove(sink.c_str());
-    observability().statsJson = sink;
-    observability().epoch = 3000;
+    RunOptions options;
+    options.statsJson = sink;
+    options.epoch = 3000;
     {
-        SweepHarness harness(
-            "test_sweep_stats_j" + std::to_string(jobs), jobs);
+        SweepHarness harness("test_sweep_stats_j" + std::to_string(jobs),
+                             options, jobs);
         harness.runMany(sweepJobs());
     }
-    observability().statsJson.clear();
-    observability().epoch = 0;
     std::string doc = slurp(sink);
     std::remove(sink.c_str());
     return doc;
