@@ -5,8 +5,7 @@
  * private baseline and the fraction of messages that had to take the
  * store-and-forward mesh. Right sweep: transient grant loss -- the
  * retry/backoff machinery's cost as the loss rate rises. All plans are
- * built programmatically and seeded, so every row is reproducible;
- * `--fault-plan FILE` still overrides all of them for ad-hoc what-ifs.
+ * built programmatically and seeded, so every row is reproducible.
  */
 
 #include <cstdio>
@@ -50,10 +49,16 @@ int
 main(int argc, char **argv)
 {
     constexpr unsigned cores = 32;
-    auto args = bench::parseBenchArgs(
-        argc, argv, 6000,
+    bench::BenchArgs args{/*accesses=*/6000};
+    bench::ArgParser parser = bench::makeBenchParser(
+        argc, argv,
         "NOCSTAR resilience: dead fabric links and transient grant "
-        "loss (32 cores)");
+        "loss (32 cores)",
+        args);
+    // A run-wide plan would replace every row's, the private
+    // baseline's included.
+    bench::rejectSweptFlag(parser, "fault-plan", "the fault plan");
+    parser.parseOrExit(argc, argv);
 
     const noc::GridTopology topo = noc::GridTopology::forCores(cores);
     const unsigned deadCounts[] = {0, 1, 2, 4, 8, 16};

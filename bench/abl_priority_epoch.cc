@@ -45,7 +45,7 @@ main(int argc, char **argv)
             dynamic_cast<core::NocstarOrg &>(system.organization());
         std::printf("%10llu %12.3f %12.2f %14.0f\n",
                     static_cast<unsigned long long>(epoch),
-                    priv.meanCycles / result.meanCycles,
+                    bench::speedupVsPrivate(priv, result),
                     org.fabric().averageLatency(),
                     org.fabric().retryDistribution.maxSample());
     }

@@ -619,11 +619,23 @@ class SweepHarness
     bool finished_ = false;
 };
 
-/** Speedup of @p config against a private-L2-TLB baseline. */
+/**
+ * Speedup of @p other against a private-L2-TLB @p baseline, as the
+ * ratio of mean thread finish times. A sampled run's meanCycles
+ * includes its nominal fast-forward advance, so the ratio would be
+ * wrong: a sampled result on either side exits 2.
+ */
 inline double
 speedupVsPrivate(const cpu::RunResult &baseline,
                  const cpu::RunResult &other)
 {
+    if (baseline.sampled || other.sampled) {
+        std::fprintf(stderr,
+                     "error: speedups need full-detail runs, and --sample "
+                     "inflates mean cycles with its fast-forward "
+                     "advance\n");
+        std::exit(2);
+    }
     return other.meanCycles > 0 ? baseline.meanCycles / other.meanCycles
                                 : 0.0;
 }

@@ -84,8 +84,8 @@ main(int argc, char **argv)
         const auto &priv = results[c * numKinds];
         for (std::size_t k = 0; k < 3; ++k) {
             const auto &result = results[c * numKinds + 1 + k];
-            throughput[k].push_back(priv.meanCycles /
-                                    result.meanCycles);
+            throughput[k].push_back(
+                bench::speedupVsPrivate(priv, result));
             double min_ratio = 1e9;
             for (std::size_t a = 0; a < 4; ++a) {
                 double ratio = result.appIpc[a] > 0

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "core/nocstar_org.hh"
@@ -287,9 +288,14 @@ System::System(const SystemConfig &config)
     unsigned max_slots = cores * std::max(1u, config.smtPerCore);
     for (std::size_t a = 0; a < config.apps.size(); ++a) {
         const AppConfig &app = config.apps[a];
+        // One warm-pool sampler per generated app: its threads' copies
+        // share its rejection table, which outlives this local.
+        std::optional<ZipfSampler> warm_zipf;
         if (!app.traceFile.empty())
             traces_[a] = std::make_unique<workload::TraceFile>(
                 workload::TraceFile::load(app.traceFile));
+        else
+            warm_zipf.emplace(app.spec.warmPages, app.spec.warmAlpha);
         for (unsigned t = 0; t < app.threads; ++t) {
             if (slot >= max_slots)
                 fatal("more threads than SMT slots (",
@@ -304,7 +310,8 @@ System::System(const SystemConfig &config)
             else
                 thread.gen =
                     std::make_unique<workload::AccessGenerator>(
-                        app.spec, thread.ctx, t, config.seed);
+                        app.spec, thread.ctx, t, config.seed,
+                        *warm_zipf);
             if (config.hotspotSlice >= 0)
                 thread.hotspotRng = std::make_unique<Random>(
                     config.seed ^ (0x4075ULL) ^

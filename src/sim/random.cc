@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace nocstar
 {
@@ -24,11 +25,13 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double alpha)
 
     if (alpha_ != 0.0) {
         std::uint64_t cached = std::min<std::uint64_t>(n_, 4096);
-        rejectBound_.reserve(cached);
+        auto bounds = std::make_shared<std::vector<double>>();
+        bounds->reserve(cached);
         for (std::uint64_t k = 1; k <= cached; ++k) {
             double kd = static_cast<double>(k);
-            rejectBound_.push_back(h(kd + 0.5) - std::pow(kd, -alpha_));
+            bounds->push_back(h(kd + 0.5) - std::pow(kd, -alpha_));
         }
+        rejectBound_ = std::move(bounds);
     }
 }
 
@@ -66,8 +69,9 @@ ZipfSampler::sample(Random &rng) const
         double kd = static_cast<double>(k);
         if (kd - x <= s_)
             return k - 1;
-        double bound = k <= rejectBound_.size()
-            ? rejectBound_[k - 1]
+        const std::vector<double> &cached = *rejectBound_;
+        double bound = k <= cached.size()
+            ? cached[k - 1]
             : h(kd + 0.5) - std::pow(kd, -alpha_);
         if (u >= bound)
             return k - 1;

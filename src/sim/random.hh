@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -123,6 +124,10 @@ class Random
  * Zipf-distributed sampler over [0, n) with skew @p alpha, using the
  * rejection-inversion method of Hormann and Derflinger, which needs no
  * O(n) table and is fast for the large ranges page streams use.
+ *
+ * Copies are cheap and draw exactly what the original draws: they share
+ * its read-only rejection table, so one sampler built per application
+ * serves all of that application's threads.
  */
 class ZipfSampler
 {
@@ -150,12 +155,14 @@ class ZipfSampler
     double s_;
     /**
      * Precomputed rejection thresholds h(k + 0.5) - k^-alpha for the
-     * most popular items. The skew concentrates nearly all draws on
-     * small k, so this removes the two pow() calls from the common
-     * rejection test; values are computed with the identical
-     * expressions, so sampling is bit-for-bit unchanged.
+     * min(n, 4096) most popular items (null when alpha is 0). The skew
+     * concentrates nearly all draws on small k, so this removes the two
+     * pow() calls from the common rejection test; values are computed
+     * with the identical expressions, so sampling is bit-for-bit
+     * unchanged. Built once by the constructor and never written
+     * afterwards, so copies share it and it lives as long as any copy.
      */
-    std::vector<double> rejectBound_;
+    std::shared_ptr<const std::vector<double>> rejectBound_;
 };
 
 } // namespace nocstar

@@ -9,11 +9,23 @@ namespace nocstar::workload
 {
 
 AccessGenerator::AccessGenerator(const WorkloadSpec &spec, ContextId ctx,
-                                 unsigned thread, std::uint64_t seed)
+                                 unsigned thread, std::uint64_t seed,
+                                 const ZipfSampler &warmZipf)
     : spec_(spec), ctx_(ctx), thread_(thread),
       rng_(seed ^ (static_cast<std::uint64_t>(ctx) << 32) ^
            (static_cast<std::uint64_t>(thread) << 16) ^ 0xabcdef12345ULL),
-      warmZipf_(spec.warmPages, spec.warmAlpha)
+      warmZipf_(warmZipf)
+{
+    if (warmZipf.numItems() != spec.warmPages ||
+        warmZipf.alpha() != spec.warmAlpha)
+        panic("AccessGenerator: warm-pool sampler does not match ",
+              spec.name);
+}
+
+AccessGenerator::AccessGenerator(const WorkloadSpec &spec, ContextId ctx,
+                                 unsigned thread, std::uint64_t seed)
+    : AccessGenerator(spec, ctx, thread, seed,
+                      ZipfSampler(spec.warmPages, spec.warmAlpha))
 {}
 
 Addr

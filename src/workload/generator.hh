@@ -34,7 +34,16 @@ class AccessGenerator : public AddressSource
      * @param thread global thread index within the app instance.
      * @param seed stream seed; streams with distinct (ctx, thread)
      *        never correlate.
+     * @param warmZipf the application's warm-pool sampler over
+     *        (spec.warmPages, spec.warmAlpha). The generator keeps a
+     *        copy, which shares the sampler's table, so every thread
+     *        of an application reads one table.
      */
+    AccessGenerator(const WorkloadSpec &spec, ContextId ctx,
+                    unsigned thread, std::uint64_t seed,
+                    const ZipfSampler &warmZipf);
+
+    /** As above, with a warm-pool sampler of its own. */
     AccessGenerator(const WorkloadSpec &spec, ContextId ctx,
                     unsigned thread, std::uint64_t seed);
 

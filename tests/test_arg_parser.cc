@@ -337,9 +337,37 @@ TEST(RunOptions, FabricSkipsOrganizationsWithoutOne)
 
 TEST(RunOptions, SweptFlagIsRefused)
 {
-    RunParser with_flag, without_flag;
-    rejectSweptFlag(with_flag.parser, "fabric", "the fabric");
-    rejectSweptFlag(without_flag.parser, "fabric", "the fabric");
-    EXPECT_FALSE(with_flag.parse({"--fabric", "hier"}));
-    EXPECT_TRUE(without_flag.parse({"--lat-hist"}));
+    // Valid values, so the refusal is the only error.
+    const std::string plan = ::testing::TempDir() + "nocstar_swept.plan";
+    std::ofstream(plan) << "grant-loss 0.01\n";
+    struct Swept
+    {
+        const char *flag, *axis, *value;
+    };
+    for (const Swept &s : {Swept{"fabric", "the fabric", "hier"},
+                           Swept{"fault-plan", "the fault plan",
+                                 plan.c_str()}}) {
+        RunParser with_flag, without_flag;
+        rejectSweptFlag(with_flag.parser, s.flag, s.axis);
+        rejectSweptFlag(without_flag.parser, s.flag, s.axis);
+        const std::string arg = std::string("--") + s.flag;
+        EXPECT_FALSE(with_flag.parse({arg.c_str(), s.value})) << arg;
+        ASSERT_EQ(with_flag.parser.errors().size(), 1u) << arg;
+        EXPECT_NE(with_flag.parser.errors()[0].find(arg),
+                  std::string::npos);
+        EXPECT_TRUE(without_flag.parse({"--lat-hist"})) << arg;
+    }
+}
+
+TEST(SpeedupVsPrivate, SampledRunsExitNamingSample)
+{
+    cpu::RunResult full, sampled;
+    full.meanCycles = 200;
+    sampled.meanCycles = 100;
+    sampled.sampled = true;
+    EXPECT_DOUBLE_EQ(speedupVsPrivate(full, full), 1.0);
+    EXPECT_EXIT(speedupVsPrivate(full, sampled),
+                ::testing::ExitedWithCode(2), "--sample");
+    EXPECT_EXIT(speedupVsPrivate(sampled, full),
+                ::testing::ExitedWithCode(2), "--sample");
 }

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <vector>
 
 #include "sim/random.hh"
 
@@ -119,6 +121,35 @@ TEST(Zipf, EmptyRangePanics)
 TEST(Zipf, NegativeAlphaPanics)
 {
     EXPECT_THROW(ZipfSampler(10, -0.5), PanicError);
+}
+
+TEST(Zipf, CopiesDrawTheIdenticalSequence)
+{
+    // n below, at and above the 4096-entry rejection table, alpha = 1
+    // (the log branch) and alpha = 0 (uniform, no table).
+    struct Shape
+    {
+        std::uint64_t n;
+        double alpha;
+    };
+    for (const Shape &shape :
+         {Shape{1000, 1.2}, Shape{4096, 0.8}, Shape{4097, 1.2},
+          Shape{1u << 20, 1.0}, Shape{1u << 20, 0.6},
+          Shape{5000, 0.0}}) {
+        auto original =
+            std::make_unique<ZipfSampler>(shape.n, shape.alpha);
+        ZipfSampler copy = *original;
+        Random a(41), b(41);
+        std::vector<std::uint64_t> expected(20000);
+        for (std::uint64_t &v : expected)
+            v = original->sample(a);
+        // The copy keeps the shared table alive on its own.
+        original.reset();
+        for (std::size_t i = 0; i < expected.size(); ++i)
+            ASSERT_EQ(copy.sample(b), expected[i])
+                << "n=" << shape.n << " alpha=" << shape.alpha
+                << " draw " << i;
+    }
 }
 
 /** Property sweep: rank popularity must be non-increasing. */

@@ -11,6 +11,8 @@
 #include <string>
 
 #include "cpu/system.hh"
+#include "workload/generator.hh"
+#include "workload/trace.hh"
 
 using namespace nocstar;
 using namespace nocstar::cpu;
@@ -216,6 +218,41 @@ TEST(System, MultiprogrammedAppsTrackSeparateIpc)
     ASSERT_EQ(r.appIpc.size(), 2u);
     EXPECT_GT(r.appIpc[0], 0.0);
     EXPECT_GT(r.appIpc[1], 0.0);
+}
+
+TEST(System, EachAppDrawsFromItsOwnWarmPool)
+{
+    // Two apps with different warm pools: every thread's consumed
+    // stream must equal a standalone generator's, so the sampler each
+    // app's threads share is that app's own.
+    SystemConfig config;
+    config.org.kind = core::OrgKind::Private;
+    config.org.numCores = 4;
+    for (const char *name : {"graph500", "gups"}) {
+        cpu::AppConfig app_config;
+        app_config.spec = workload::findWorkload(name);
+        app_config.threads = 2;
+        config.apps.push_back(std::move(app_config));
+    }
+    config.seed = 11;
+    config.captureTracePath =
+        ::testing::TempDir() + "nocstar_two_apps.trace";
+    System(config).run(1000);
+
+    auto trace = workload::TraceFile::load(config.captureTracePath);
+    unsigned index = 0;
+    for (std::size_t a = 0; a < config.apps.size(); ++a) {
+        for (unsigned t = 0; t < config.apps[a].threads; ++t, ++index) {
+            workload::AccessGenerator own(config.apps[a].spec,
+                                          static_cast<ContextId>(a), t,
+                                          config.seed);
+            auto consumed = trace.sourceFor(index);
+            ASSERT_GE(trace.recordCount(index), 1000u);
+            for (std::size_t i = 0; i < trace.recordCount(index); ++i)
+                ASSERT_EQ(consumed->next(), own.next())
+                    << "app " << a << " thread " << t << " access " << i;
+        }
+    }
 }
 
 TEST(System, HotspotSliceConcentratesTraffic)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "workload/generator.hh"
@@ -55,6 +56,40 @@ TEST(Generator, DeterministicForSameSeed)
     AccessGenerator a(spec, 0, 0, 5), b(spec, 0, 0, 5);
     for (int i = 0; i < 1000; ++i)
         EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(Generator, SharedSamplerMatchesOwnSampler)
+{
+    // Two threads of one app share a sampler, as System builds them,
+    // and draw interleaved; each must match a generator that built its
+    // own sampler.
+    for (const WorkloadSpec &spec : paperWorkloads()) {
+        std::optional<ZipfSampler> app_zipf(std::in_place, spec.warmPages,
+                                            spec.warmAlpha);
+        AccessGenerator shared0(spec, 3, 0, 12345, *app_zipf);
+        AccessGenerator shared1(spec, 3, 1, 12345, *app_zipf);
+        app_zipf.reset();
+        AccessGenerator own0(spec, 3, 0, 12345), own1(spec, 3, 1, 12345);
+        for (int i = 0; i < 20000; ++i) {
+            ASSERT_EQ(shared0.next(), own0.next())
+                << spec.name << " thread 0, draw " << i;
+            ASSERT_EQ(shared1.next(), own1.next())
+                << spec.name << " thread 1, draw " << i;
+        }
+    }
+}
+
+TEST(Generator, MismatchedSamplerPanics)
+{
+    auto spec = testWorkload();
+    EXPECT_THROW(AccessGenerator(spec, 0, 0, 5,
+                                 ZipfSampler(spec.warmPages + 1,
+                                             spec.warmAlpha)),
+                 PanicError);
+    EXPECT_THROW(AccessGenerator(spec, 0, 0, 5,
+                                 ZipfSampler(spec.warmPages,
+                                             spec.warmAlpha + 0.1)),
+                 PanicError);
 }
 
 TEST(Generator, ThreadsProduceDistinctStreams)
