@@ -142,11 +142,11 @@ SystemConfig::validate() const
                                     ": threads must be >= 1"));
         total_threads += apps[a].threads;
     }
-    std::uint64_t slots = static_cast<std::uint64_t>(org.numCores) *
-                          std::max(1u, smtPerCore);
-    if (org.numCores > 0 && total_threads > slots)
+    if (smtPerCore == 0)
+        errors.push_back("smtPerCore must be >= 1");
+    else if (org.numCores > 0 && total_threads > smtSlots())
         errors.push_back(strCat("total threads (", total_threads,
-                                ") exceed SMT slots (", slots, ")"));
+                                ") exceed SMT slots (", smtSlots(), ")"));
     if (hotspotFraction < 0.0 || hotspotFraction > 1.0)
         errors.push_back(strCat("hotspotFraction ", hotspotFraction,
                                 " outside [0, 1]"));
@@ -285,7 +285,7 @@ System::System(const SystemConfig &config)
     ctxSharers_.resize(config.apps.size());
     traces_.resize(config.apps.size());
     unsigned slot = 0;
-    unsigned max_slots = cores * std::max(1u, config.smtPerCore);
+    const std::uint64_t max_slots = config.smtSlots();
     for (std::size_t a = 0; a < config.apps.size(); ++a) {
         const AppConfig &app = config.apps[a];
         // One warm-pool sampler per generated app: its threads' copies
@@ -405,12 +405,12 @@ System::step(std::size_t thread_index)
 
     // Hit-streak bypass: after an L1 hit the only pending work of this
     // thread is its own next step. When the queue is quiet until that
-    // cycle (no record, live or stale, anywhere in the window -- so
-    // the step event we would schedule is exactly the event the wheel
-    // would dispatch next), executing it inline and advancing the
-    // clock directly is schedule-identical; see DESIGN.md. Any L1
-    // miss, exhausted quota or intervening event falls back to the
-    // queue.
+    // cycle (no event, and no stale overflow record, anywhere in the
+    // window -- so the step event we would schedule is exactly the
+    // event the wheel would dispatch next), executing it inline and
+    // advancing the clock directly is schedule-identical; see
+    // DESIGN.md. Any L1 miss, exhausted quota or intervening event
+    // falls back to the queue.
     for (;;) {
         if (thread.accessesDone >= thread.quota) {
             if (!thread.finished) {

@@ -215,6 +215,13 @@ struct SystemConfig
      * "org: "). The System constructor fatal()s with the full list.
      */
     std::vector<std::string> validate() const;
+
+    /** Hardware-thread slots on the chip (cores x SMT), in 64 bits. */
+    std::uint64_t
+    smtSlots() const
+    {
+        return std::uint64_t{org.numCores} * smtPerCore;
+    }
 };
 
 /** Aggregated outcome of one simulation. */

@@ -50,23 +50,43 @@ EventQueue::schedule(Event *ev, Cycle when)
           when);
     ev->_scheduled = true;
     ev->_when = when;
+    ev->_seq = _nextSeq++;
     ++ev->_generation;
     if (when - _curCycle < wheelSize)
-        pushToWheel(when, WheelRecord{ev->priority(), _nextSeq++,
-                                      ev->_generation, ev});
+        link(ev);
     else
-        overflow_.push(Record{when, ev->priority(), _nextSeq++,
+        overflow_.push(Record{when, ev->priority(), ev->_seq,
                               ev->_generation, ev});
     ++_numScheduled;
 }
 
 void
-EventQueue::pushToWheel(Cycle when, const WheelRecord &rec)
+EventQueue::link(Event *ev)
 {
-    std::size_t bucket = when & wheelMask;
-    wheel_[bucket].push_back(rec);
-    occupied_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
+    std::size_t index = ev->_when & wheelMask;
+    Bucket &bucket = wheel_[index];
+    auto before = [](const Event *a, const Event *b) {
+        return a->_priority < b->_priority ||
+               (a->_priority == b->_priority && a->_seq < b->_seq);
+    };
+    ev->_inWheel = true;
     ++wheelCount_;
+    occupied_[index >> 6] |= std::uint64_t{1} << (index & 63);
+    if (!bucket.tail || !before(ev, bucket.tail)) {
+        // Fast path: a fresh schedule() carries the newest seq, so it
+        // belongs at the tail unless it outranks the tail's priority.
+        ev->_next = nullptr;
+        (bucket.tail ? bucket.tail->_next : bucket.head) = ev;
+        bucket.tail = ev;
+        return;
+    }
+    // A higher priority, or an older seq folded in from the overflow
+    // heap: insert before the first event that sorts after it.
+    Event **slot = &bucket.head;
+    while (!before(ev, *slot))
+        slot = &(*slot)->_next;
+    ev->_next = *slot;
+    *slot = ev;
 }
 
 void
@@ -75,7 +95,24 @@ EventQueue::deschedule(Event *ev)
     if (!ev->_scheduled)
         panic("deschedule of unscheduled event");
     TRACE(EventQ, "deschedule event queued for cycle ", ev->_when);
-    // Lazy removal: bump the generation so the queued record is stale.
+    if (ev->_inWheel) {
+        // Unlink at once: the wheel holds only live events.
+        std::size_t index = ev->_when & wheelMask;
+        Bucket &bucket = wheel_[index];
+        Event *prev = nullptr;
+        Event **slot = &bucket.head;
+        for (; *slot != ev; slot = &(*slot)->_next)
+            prev = *slot;
+        *slot = ev->_next;
+        if (bucket.tail == ev)
+            bucket.tail = prev;
+        if (!bucket.head)
+            occupied_[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
+        ev->_inWheel = false;
+        --wheelCount_;
+    }
+    // An overflow record goes stale with the generation bump and is
+    // dropped when it surfaces.
     ev->_scheduled = false;
     ev->_when = invalidCycle;
     ++ev->_generation;
@@ -127,8 +164,8 @@ EventQueue::quietUntil(Cycle when) const
         return false;
     // Check the occupancy bits of every bucket in [_curCycle, when].
     // Bucket bits are maintained precisely (cleared the moment a bucket
-    // drains, even mid-processCycle), so a clear window really means
-    // nothing -- live or stale -- is pending there.
+    // drains, by dispatch or by deschedule, even mid-processCycle), so
+    // a clear window really means no event is pending there.
     std::size_t start = _curCycle & wheelMask;
     std::size_t n = static_cast<std::size_t>(when - _curCycle) + 1;
     std::size_t word = start >> 6;
@@ -152,19 +189,19 @@ EventQueue::quietUntil(Cycle when) const
 void
 EventQueue::foldOverflow()
 {
-    // Bucket indices are interpreted relative to _curCycle, so a record
+    // Bucket indices are interpreted relative to _curCycle, so an event
     // may only enter the wheel once its cycle lies within [_curCycle,
     // _curCycle + wheelSize). Folding relative to any anchor ahead of
     // the clock (e.g. the next head cycle before the clock reaches it)
-    // would let the record alias to `when - wheelSize` on a later scan
+    // would let the event alias to `when - wheelSize` on a later scan
     // if the clock never catches up -- which happens whenever run()
-    // stops on its limit, or the head bucket holds only records
-    // invalidated by deschedule().
+    // stops on its limit, or the head cycle holds only stale records.
     while (!overflow_.empty() &&
            overflow_.top().when - _curCycle < wheelSize) {
         const Record &rec = overflow_.top();
-        pushToWheel(rec.when, WheelRecord{rec.priority, rec.seq,
-                                          rec.generation, rec.event});
+        Event *ev = rec.event;
+        if (ev->_scheduled && ev->_generation == rec.generation)
+            link(ev);
         overflow_.pop();
     }
 }
@@ -173,88 +210,30 @@ std::uint64_t
 EventQueue::processCycle(Cycle cycle)
 {
     std::size_t index = cycle & wheelMask;
-    std::vector<WheelRecord> &bucket = wheel_[index];
+    Bucket &bucket = wheel_[index];
     std::uint64_t processed = 0;
-
-    auto clear_bit = [&] {
-        occupied_[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
-    };
-
-    // Fast path: schedule() appends in seq order, so a bucket whose
-    // records run (priority, seq)-non-decreasing front to back is
-    // already in dispatch order and can be consumed by cursor.
-    // Records folded in from the overflow heap carry older seqs and
-    // can break the order, as can a lower-priority record appended
-    // behind a higher-priority one; the `sorted` watermark verifies
-    // the invariant incrementally (covering same-cycle records
-    // appended by process()) and the first violation falls through to
-    // the exact min-scan below.
-    auto ordered = [](const WheelRecord &a, const WheelRecord &b) {
-        return a.priority < b.priority ||
-               (a.priority == b.priority && a.seq < b.seq);
-    };
-    std::size_t cursor = 0;
-    std::size_t sorted = 0; // [0, sorted] verified non-decreasing
-    while (cursor < bucket.size()) {
-        while (sorted + 1 < bucket.size() &&
-               ordered(bucket[sorted], bucket[sorted + 1]))
-            ++sorted;
-        if (sorted + 1 < bucket.size())
-            break; // a lower priority arrived behind a higher one
-        WheelRecord rec = bucket[cursor++];
-        --wheelCount_;
-        if (cursor == bucket.size()) {
-            // Drain the bucket *before* dispatching its last record:
+    // The bucket stays in (priority, seq) order, also as handlers link
+    // same-cycle events into it or unlink its other events, so its head
+    // is always the next event to run. A handler that advanced the
+    // clock (the hit-streak bypass) may have linked an event for
+    // `cycle + k * wheelSize` into this bucket; the scan finds it later.
+    Event *ev;
+    while (_curCycle == cycle && (ev = bucket.head)) {
+        bucket.head = ev->_next;
+        if (!bucket.head) {
+            // Drain the bucket *before* dispatching its last event:
             // handlers (and the hit-streak bypass they host) observe
             // precise occupancy for this cycle.
-            bucket.clear();
-            cursor = 0;
-            sorted = 0;
-            clear_bit();
+            bucket.tail = nullptr;
+            occupied_[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
         }
-        Event *ev = rec.event;
-        if (!ev->_scheduled || ev->_generation != rec.generation)
-            continue; // stale record from a deschedule/reschedule
-        ev->_scheduled = false;
-        ev->_when = invalidCycle;
-        --_numScheduled;
-        TRACE(EventQ, "process event prio ", rec.priority, " seq ",
-              rec.seq);
-        ev->process();
-        ++processed;
-    }
-    if (cursor > 0)
-        bucket.erase(bucket.begin(),
-                     bucket.begin() + static_cast<std::ptrdiff_t>(cursor));
-
-    // Exact fallback for mixed-priority buckets: smallest (priority,
-    // seq) first; buckets are small, so a linear scan beats maintaining
-    // a heap. Same-cycle records appended by process() are picked up by
-    // later passes.
-    while (!bucket.empty()) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < bucket.size(); ++i) {
-            if (bucket[i].priority < bucket[best].priority ||
-                (bucket[i].priority == bucket[best].priority &&
-                 bucket[i].seq < bucket[best].seq))
-                best = i;
-        }
-        WheelRecord rec = bucket[best];
-        bucket[best] = bucket.back();
-        bucket.pop_back();
+        ev->_inWheel = false;
         --wheelCount_;
-        if (bucket.empty())
-            clear_bit();
-
-        Event *ev = rec.event;
-        if (!ev->_scheduled || ev->_generation != rec.generation)
-            continue; // stale record from a deschedule/reschedule
-
         ev->_scheduled = false;
         ev->_when = invalidCycle;
         --_numScheduled;
-        TRACE(EventQ, "process event prio ", rec.priority, " seq ",
-              rec.seq);
+        TRACE(EventQ, "process event prio ", ev->_priority, " seq ",
+              ev->_seq);
         ev->process();
         ++processed;
     }

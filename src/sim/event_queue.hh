@@ -9,10 +9,12 @@
  *
  * The pending store is a timing wheel: near-future events (within
  * `wheelSize` cycles, which covers everything on the per-access path)
- * go into per-cycle buckets found through an occupancy bitmap, so
- * schedule and dispatch are O(1) instead of O(log n) binary-heap
- * operations on 40-byte records. Far-future events (periodic context
- * switches, storm ops) overflow into a small heap and are folded into
+ * sit in per-cycle buckets found through an occupancy bitmap. A bucket
+ * is a FIFO linked through the events themselves and kept in
+ * (priority, seq) order, so scheduling, descheduling and dispatch
+ * never copy a record or allocate, and the whole wheel is a fixed
+ * array of head/tail pairs. Far-future events (periodic context
+ * switches, storm ops) overflow into a small heap and are linked into
  * the wheel as the clock approaches them. Processing order is exactly
  * (cycle, priority, schedule order), identical to a single global
  * priority queue.
@@ -71,10 +73,16 @@ class Event
     friend class EventQueue;
 
     Priority _priority;
-    Cycle _when = invalidCycle;
     bool _scheduled = false;
-    /** Generation counter so stale queue records are ignored. */
+    /** Linked into a wheel bucket (else pending in the overflow heap). */
+    bool _inWheel = false;
+    Cycle _when = invalidCycle;
+    /** Schedule order: the FIFO tiebreak of the dispatch key. */
+    std::uint64_t _seq = 0;
+    /** Generation counter so stale overflow-heap records are ignored. */
     std::uint64_t _generation = 0;
+    /** Next event in the same wheel bucket. */
+    Event *_next = nullptr;
 };
 
 /**
@@ -130,27 +138,26 @@ class EventQueue
     std::size_t size() const { return _numScheduled; }
 
     /**
-     * Earliest cycle holding any pending record (live or stale) in the
-     * wheel or the overflow heap, or invalidCycle when none remain.
-     * Stale records (lazily descheduled events) make the result
-     * conservative: it may name a cycle with nothing live to run, but
-     * never a cycle later than the first live event.
+     * Earliest cycle holding a wheel event or an overflow-heap record,
+     * or invalidCycle when none remain. Stale overflow records make the
+     * result conservative: it may name a cycle with nothing live to
+     * run, but never a cycle later than the first live event.
      */
     Cycle nextEventCycle() const;
 
     /**
-     * @return true when no record (live or stale) is pending anywhere
-     * in [curCycle(), @p when], and the overflow heap holds nothing at
-     * or before @p when. Conservative: stale records count as pending.
-     * Windows reaching beyond the wheel horizon report false.
+     * @return true when no event is pending anywhere in [curCycle(),
+     * @p when] and the overflow heap holds no record (live or stale)
+     * at or before @p when. Windows reaching beyond the wheel horizon
+     * report false.
      */
     bool quietUntil(Cycle when) const;
 
     /**
      * Advance the clock to @p when without processing anything.
-     * Precondition: no pending record sits strictly before @p when
-     * (e.g. quietUntil(when) held); violating it would strand wheel
-     * records behind the clock. Used by the hit-streak bypass, which
+     * Precondition: no event is pending strictly before @p when (e.g.
+     * quietUntil(when) held); violating it would strand wheel events
+     * behind the clock. Used by the hit-streak bypass, which
      * establishes the precondition via quietUntil().
      */
     void
@@ -202,6 +209,7 @@ class EventQueue
     static constexpr std::size_t wheelMask = wheelSize - 1;
     static constexpr std::size_t wheelWords = wheelSize / 64;
 
+    /** An overflow-heap entry; stale once its event's generation moves. */
     struct Record
     {
         Cycle when;
@@ -221,35 +229,29 @@ class EventQueue
         }
     };
 
-    /**
-     * A wheel-resident record. The cycle is implied by the bucket (a
-     * bucket only ever holds records for the one in-horizon cycle that
-     * maps to it), so it is not stored; 32-byte records keep bucket
-     * scans dense.
-     */
-    struct WheelRecord
+    /** The events of one in-horizon cycle, in (priority, seq) order. */
+    struct Bucket
     {
-        Event::Priority priority;
-        std::uint64_t seq;
-        std::uint64_t generation;
-        Event *event;
+        Event *head = nullptr;
+        Event *tail = nullptr;
     };
 
-    /** Put a record for cycle @p when (within the horizon) in its bucket. */
-    void pushToWheel(Cycle when, const WheelRecord &rec);
+    /** Link @p ev (due within the horizon) into its bucket, in order. */
+    void link(Event *ev);
 
     /**
-     * Move overflow records whose cycle now lies within the wheel
-     * horizon [_curCycle, _curCycle + wheelSize) into their buckets.
-     * Must only be called after the clock has advanced (bucket indices
-     * alias modulo wheelSize relative to _curCycle).
+     * Link the live overflow events whose cycle now lies within the
+     * wheel horizon [_curCycle, _curCycle + wheelSize) into their
+     * buckets, and drop the stale records among them. Must only be
+     * called after the clock has advanced (bucket indices alias modulo
+     * wheelSize relative to _curCycle).
      */
     void foldOverflow();
 
     /**
-     * Process every record in @p cycle's bucket in (priority, seq)
-     * order, including records scheduled for the same cycle while
-     * processing. @return number of live events processed.
+     * Process the events due at @p cycle in (priority, seq) order,
+     * including events scheduled for it while processing; stop early
+     * if a handler advances the clock. @return number processed.
      */
     std::uint64_t processCycle(Cycle cycle);
 
@@ -302,10 +304,10 @@ class EventQueue
     }
 
     /** Per-cycle buckets for events within the wheel horizon. */
-    std::vector<std::vector<WheelRecord>> wheel_{wheelSize};
-    /** One bit per bucket: set while the bucket holds any record. */
+    Bucket wheel_[wheelSize];
+    /** One bit per bucket: set while the bucket holds any event. */
     std::uint64_t occupied_[wheelWords] = {};
-    /** Records (live or stale) currently in the wheel. */
+    /** Events currently linked into the wheel. */
     std::size_t wheelCount_ = 0;
     /** Events beyond the wheel horizon, ordered by (when, prio, seq). */
     std::priority_queue<Record, std::vector<Record>, std::greater<>>

@@ -261,6 +261,25 @@ TEST(SystemValidate, CatchesThreadOversubscription)
     EXPECT_TRUE(config.validate().empty());
 }
 
+TEST(SystemValidate, CatchesZeroSmtPerCore)
+{
+    cpu::SystemConfig config = validSystemConfig();
+    config.smtPerCore = 0;
+    EXPECT_TRUE(mentions(config.validate(), "smtPerCore"));
+}
+
+TEST(SystemValidate, SmtSlotCountDoesNotWrap)
+{
+    // 16 cores x 2^28 SMT slots is 2^32: a 32-bit product wraps to 0
+    // slots, which validate() (64-bit) accepted and the constructor
+    // then rejected with "more threads than SMT slots (0)".
+    cpu::SystemConfig config = validSystemConfig(16);
+    config.smtPerCore = 1u << 28;
+    EXPECT_EQ(config.smtSlots(), std::uint64_t{1} << 32);
+    EXPECT_TRUE(config.validate().empty());
+    EXPECT_NO_THROW(cpu::System system(config));
+}
+
 TEST(SystemValidate, CatchesZeroThreadApp)
 {
     cpu::SystemConfig config = validSystemConfig();

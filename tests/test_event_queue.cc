@@ -1,13 +1,23 @@
 /**
  * @file
- * Unit tests for the discrete-event kernel.
+ * Unit tests for the discrete-event kernel, plus a differential test
+ * that drives randomized schedule/deschedule/reschedule/run sequences
+ * through the timing wheel and through a reference binary heap keyed
+ * on (cycle, priority, seq) with lazy deletion, and demands the same
+ * dispatch order and live-event count at every step.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <memory>
+#include <queue>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 #include "tests/move_counter.hh"
 
 using namespace nocstar;
@@ -354,9 +364,9 @@ TEST(EventQueue, NextEventCycleSeesOverflowHeapHead)
     queue.schedule(&a, 12);
     EXPECT_EQ(queue.nextEventCycle(), 12u);
     queue.deschedule(&a);
-    // The stale record keeps the answer conservative (never later
-    // than the first live event) but the clock must not be misled.
-    EXPECT_LE(queue.nextEventCycle(), 100000u);
+    // The descheduled wheel event is gone at once, and the clock must
+    // not be misled.
+    EXPECT_EQ(queue.nextEventCycle(), 100000u);
     EXPECT_EQ(queue.run(), 1u);
     EXPECT_EQ(queue.curCycle(), 100000u);
 }
@@ -389,10 +399,7 @@ TEST(EventQueue, QuietUntilBoundsAndStrictness)
     EXPECT_FALSE(queue.quietUntil(50));  // window includes it
     EXPECT_FALSE(queue.quietUntil(51));
 
-    // Overflow-heap events bound the quiet window too. Run past the
-    // descheduled record first: run() never visits stale buckets on
-    // its own, so a live event at 60 drags the scan (and the bit
-    // clearing) across bucket 50.
+    // Overflow-heap events bound the quiet window too.
     queue.deschedule(&a);
     queue.scheduleLambda(60, [] {});
     EXPECT_EQ(queue.run(), 1u);
@@ -405,18 +412,36 @@ TEST(EventQueue, QuietUntilBoundsAndStrictness)
 
 TEST(EventQueue, QuietUntilStaleRecordIsConservative)
 {
-    // A descheduled record leaves its bucket bit set until the scan
-    // reaches it; quietUntil() may answer false (conservative), but
-    // must never answer true past a *live* event hiding behind it.
+    // A descheduled wheel event leaves its bucket at once, so its
+    // occupancy bit clears and quietUntil() sees through it -- but
+    // never past a *live* event behind it.
     EventQueue queue;
     std::vector<int> log;
-    CountingEvent stale(&log, 1), live(&log, 2);
-    queue.schedule(&stale, 30);
+    CountingEvent gone(&log, 1), live(&log, 2);
+    queue.schedule(&gone, 30);
     queue.schedule(&live, 40);
-    queue.deschedule(&stale);
+    EXPECT_FALSE(queue.quietUntil(30));
+    queue.deschedule(&gone);
+    EXPECT_TRUE(queue.quietUntil(39));
+    EXPECT_EQ(queue.nextEventCycle(), 40u);
     EXPECT_FALSE(queue.quietUntil(40));
     EXPECT_FALSE(queue.quietUntil(4095));
     queue.deschedule(&live);
+    EXPECT_TRUE(queue.quietUntil(4095));
+
+    // Only the overflow heap keeps stale records: a descheduled
+    // far-future event still bounds the window until it surfaces.
+    // quietUntil() may answer false needlessly, never true across a
+    // live event.
+    CountingEvent far(&log, 3);
+    queue.schedule(&far, 5000);
+    queue.deschedule(&far);
+    ASSERT_TRUE(queue.quietUntil(2000));
+    queue.advanceTo(2000);
+    EXPECT_TRUE(queue.quietUntil(4999));
+    EXPECT_FALSE(queue.quietUntil(5000));
+    EXPECT_EQ(queue.run(), 0u);
+    EXPECT_TRUE(log.empty());
 }
 
 TEST(EventQueue, QuietUntilPreciseDuringDispatch)
@@ -453,6 +478,27 @@ TEST(EventQueue, AdvanceToMovesClockAndRejectsPast)
     EXPECT_EQ(log, (std::vector<int>{1}));
 }
 
+TEST(EventQueue, AdvanceToInsideDispatchLeavesAliasedBucketForLater)
+{
+    // A long bypass streak advances the clock in quiet steps, so a
+    // handler can bring its own cycle plus the wheel span within the
+    // horizon while that cycle is still being dispatched. An event it
+    // schedules there lands in the bucket being dispatched, and must
+    // wait for its own cycle.
+    EventQueue queue;
+    std::vector<Cycle> fired;
+    queue.scheduleLambda(10, [&] {
+        for (Cycle next = 1000; next <= 4000; next += 1000) {
+            ASSERT_TRUE(queue.quietUntil(next));
+            queue.advanceTo(next);
+        }
+        queue.scheduleLambda(10 + 4096,
+                             [&] { fired.push_back(queue.curCycle()); });
+    });
+    EXPECT_EQ(queue.run(), 2u);
+    EXPECT_EQ(fired, (std::vector<Cycle>{10 + 4096}));
+}
+
 TEST(EventQueue, AdvanceToInsideDispatchSkipsQuietCycles)
 {
     // The bypass pattern end-to-end: an event checks the queue is
@@ -470,3 +516,442 @@ TEST(EventQueue, AdvanceToInsideDispatchSkipsQuietCycles)
     EXPECT_EQ(fired, (std::vector<Cycle>{25, 25}));
     EXPECT_EQ(queue.curCycle(), 25u);
 }
+
+namespace
+{
+
+class WheelOracle;
+
+/** A pooled test event: reports its dispatch to the oracle. */
+class ProbeEvent : public Event
+{
+  public:
+    ProbeEvent(WheelOracle *oracle, std::size_t id, Priority prio)
+        : Event(prio), oracle_(oracle), id_(id)
+    {}
+
+    void process() override;
+
+  private:
+    WheelOracle *oracle_;
+    std::size_t id_;
+};
+
+/**
+ * Drives an EventQueue and a reference priority queue in lockstep.
+ * Every operation goes to both; every dispatch the real queue makes
+ * must be the reference's next live record, and the live counts must
+ * agree after every step. Handlers draw further operations from the
+ * same stream, so same-cycle scheduling, deschedules of the bucket
+ * being dispatched and far-future events all happen mid-dispatch.
+ */
+class WheelOracle
+{
+  public:
+    WheelOracle(std::uint64_t seed, std::size_t events) : rng_(seed)
+    {
+        static constexpr Event::Priority prios[] = {
+            -7, Event::defaultPriority, Event::defaultPriority, 3,
+            Event::arbitrationPriority, Event::lastPriority};
+        for (std::size_t id = 0; id < events; ++id)
+            events_.push_back(std::make_unique<ProbeEvent>(
+                this, id, prios[rng_.below(std::size(prios))]));
+        seq_.assign(events, noSeq);
+    }
+
+    ~WheelOracle()
+    {
+        // The queue outlives the pool; a failed run may leave events
+        // pending, and destroying a scheduled event panics.
+        for (const std::unique_ptr<ProbeEvent> &ev : events_)
+            if (ev->scheduled())
+                queue_.deschedule(ev.get());
+    }
+
+    /** One top-level operation, drawn from the stream. */
+    void
+    step()
+    {
+        switch (rng_.below(10)) {
+          case 0:
+          case 1:
+          case 2:
+            scheduleIdle(queue_.curCycle() + delay());
+            break;
+          case 3:
+            if (std::size_t id = pickQueued(); id != none)
+                deschedule(id);
+            break;
+          case 4:
+            if (std::size_t id = pickQueued(); id != none)
+                reschedule(id, queue_.curCycle() + delay());
+            break;
+          case 5:
+            runUntil(limit());
+            break;
+          case 6:
+            runOneCycle();
+            break;
+          case 7:
+            skipQuiet();
+            break;
+          default:
+            checkNextEventCycle();
+            break;
+        }
+        expectInSync();
+    }
+
+    /** Drain both queues and compare the end state. */
+    void
+    drain()
+    {
+        runUntil(invalidCycle);
+        EXPECT_TRUE(queue_.empty());
+        EXPECT_EQ(live_, 0u);
+        expectInSync();
+    }
+
+    /** Called by ProbeEvent::process(). */
+    void
+    dispatched(std::size_t id)
+    {
+        if (failed_)
+            return;
+        const Cycle now = queue_.curCycle();
+        dropStale();
+        if (ref_.empty() || ref_.top().when != now ||
+            ref_.top().id != id) {
+            ADD_FAILURE() << "dispatch #" << dispatches_ << ": queue ran "
+                          << id << " at " << now << ", reference expected "
+                          << (ref_.empty() ? none : ref_.top().id) << " at "
+                          << (ref_.empty() ? invalidCycle
+                                           : ref_.top().when);
+            failed_ = true;
+            return;
+        }
+        ref_.pop();
+        seq_[id] = noSeq;
+        --live_;
+        ++dispatches_;
+        clock_ = now;
+        ++dispatchedThisStep_;
+        expectInSync();
+
+        // Handler work: same-cycle events that run before and after
+        // this one, deschedules and reschedules of pending events
+        // (often in the bucket being dispatched), far-future events.
+        const Event::Priority prio = events_[id]->priority();
+        for (std::uint64_t n = rng_.below(3); n > 0 && !failed_; --n) {
+            switch (rng_.below(6)) {
+              case 0:
+                scheduleIdle(now, [prio](Event::Priority p) {
+                    return p < prio;
+                });
+                break;
+              case 1:
+                scheduleIdle(now, [prio](Event::Priority p) {
+                    return p >= prio;
+                });
+                break;
+              case 2:
+                scheduleIdle(now + delay());
+                break;
+              case 3:
+                if (std::size_t victim = pickQueued(); victim != none)
+                    deschedule(victim);
+                break;
+              default:
+                if (std::size_t victim = pickQueued(); victim != none)
+                    reschedule(victim, now + delay());
+                break;
+            }
+            expectInSync();
+        }
+    }
+
+    bool failed() const { return failed_; }
+    std::uint64_t dispatches() const { return dispatches_; }
+
+  private:
+    static constexpr std::size_t none = ~std::size_t{0};
+    static constexpr std::uint64_t noSeq = ~std::uint64_t{0};
+
+    struct RefRecord
+    {
+        Cycle when;
+        Event::Priority priority;
+        std::uint64_t seq;
+        std::size_t id;
+
+        bool
+        operator>(const RefRecord &other) const
+        {
+            if (when != other.when)
+                return when > other.when;
+            if (priority != other.priority)
+                return priority > other.priority;
+            return seq > other.seq;
+        }
+    };
+
+    /**
+     * Mostly near-term, some at the wheel horizon, some beyond it, and
+     * some on a coarse grid of cycles, so that events folded in from
+     * the overflow heap share buckets with events scheduled directly.
+     */
+    Cycle
+    delay()
+    {
+        switch (rng_.below(9)) {
+          case 0:
+            return 0;
+          case 1:
+          case 2:
+          case 3:
+            return rng_.below(4);
+          case 4:
+            return rng_.below(64);
+          case 5:
+            return rng_.below(4096);
+          case 6:
+            return 4094 + rng_.below(4);
+          case 7: {
+            const Cycle now = queue_.curCycle();
+            return (now + rng_.below(3 * 4096)) / 1024 * 1024 + 1024 - now;
+          }
+          default:
+            return 4096 + rng_.below(3 * 4096);
+        }
+    }
+
+    Cycle
+    limit()
+    {
+        static constexpr Cycle spans[] = {0, 1, 8, 300, 5000, 20000};
+        return queue_.curCycle() + spans[rng_.below(std::size(spans))];
+    }
+
+    /** Schedule an idle event whose priority satisfies @p want. */
+    template <typename Pred>
+    void
+    scheduleIdle(Cycle when, Pred want)
+    {
+        const std::size_t n = events_.size();
+        const std::size_t start = rng_.below(n);
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::size_t id = (start + k) % n;
+            if (!events_[id]->scheduled() &&
+                want(events_[id]->priority())) {
+                schedule(id, when);
+                return;
+            }
+        }
+    }
+
+    void
+    scheduleIdle(Cycle when)
+    {
+        scheduleIdle(when, [](Event::Priority) { return true; });
+    }
+
+    void
+    schedule(std::size_t id, Cycle when)
+    {
+        queue_.schedule(events_[id].get(), when);
+        refPush(id, when);
+    }
+
+    void
+    deschedule(std::size_t id)
+    {
+        queue_.deschedule(events_[id].get());
+        seq_[id] = noSeq;
+        --live_;
+    }
+
+    void
+    reschedule(std::size_t id, Cycle when)
+    {
+        queue_.reschedule(events_[id].get(), when);
+        seq_[id] = noSeq;
+        --live_;
+        refPush(id, when);
+    }
+
+    void
+    refPush(std::size_t id, Cycle when)
+    {
+        seq_[id] = nextSeq_++;
+        ref_.push(RefRecord{when, events_[id]->priority(), seq_[id], id});
+        ++live_;
+    }
+
+    /**
+     * A pending event at the head, middle or tail of one cycle's
+     * dispatch order (the current cycle's, half the time, if any is
+     * pending there), or none.
+     */
+    std::size_t
+    pickQueued()
+    {
+        const std::size_t n = events_.size();
+        const std::size_t start = rng_.below(n);
+        const bool now_first = rng_.below(2) == 0;
+        std::size_t pick = none;
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::size_t id = (start + k) % n;
+            if (!events_[id]->scheduled())
+                continue;
+            if (pick == none)
+                pick = id;
+            if (!now_first ||
+                events_[id]->when() == queue_.curCycle()) {
+                pick = id;
+                break;
+            }
+        }
+        if (pick == none)
+            return none;
+        std::vector<std::size_t> same;
+        for (std::size_t id = 0; id < n; ++id)
+            if (events_[id]->scheduled() &&
+                events_[id]->when() == events_[pick]->when())
+                same.push_back(id);
+        std::sort(same.begin(), same.end(),
+                  [this](std::size_t a, std::size_t b) {
+                      const Event::Priority pa = events_[a]->priority();
+                      const Event::Priority pb = events_[b]->priority();
+                      return pa != pb ? pa < pb : seq_[a] < seq_[b];
+                  });
+        switch (rng_.below(3)) {
+          case 0:
+            return same.front();
+          case 1:
+            return same[same.size() / 2];
+          default:
+            return same.back();
+        }
+    }
+
+    void
+    dropStale()
+    {
+        while (!ref_.empty() && seq_[ref_.top().id] != ref_.top().seq)
+            ref_.pop();
+    }
+
+    /** The reference's earliest live cycle, or invalidCycle. */
+    Cycle
+    refHead()
+    {
+        dropStale();
+        return ref_.empty() ? invalidCycle : ref_.top().when;
+    }
+
+    void
+    runUntil(Cycle limit)
+    {
+        queue_.run(limit);
+        if (failed_)
+            return;
+        // Everything due by the limit ran; the clock stops on the limit
+        // while work remains, else on the last dispatch.
+        const Cycle head = refHead();
+        EXPECT_TRUE(head == invalidCycle || head > limit);
+        if (limit != invalidCycle && live_ > 0 && clock_ < limit)
+            clock_ = limit;
+    }
+
+    void
+    runOneCycle()
+    {
+        // A call may land on a cycle held only by a stale record (the
+        // queue cannot tell until it looks), so step until a cycle
+        // dispatches something or nothing live remains.
+        dispatchedThisStep_ = 0;
+        while (dispatchedThisStep_ == 0 && !queue_.empty() && !failed_)
+            queue_.runOneCycle();
+        if (failed_ || dispatchedThisStep_ == 0)
+            return;
+        // The whole cycle ran, including work its handlers added.
+        const Cycle head = refHead();
+        EXPECT_TRUE(head == invalidCycle || head > clock_);
+    }
+
+    /** The hit-streak bypass pattern: skip ahead while quiet. */
+    void
+    skipQuiet()
+    {
+        const Cycle target = queue_.curCycle() + rng_.below(64);
+        if (!queue_.quietUntil(target))
+            return;
+        const Cycle head = refHead();
+        EXPECT_TRUE(head == invalidCycle || head > target)
+            << "quietUntil(" << target << ") held across a live event at "
+            << head;
+        queue_.advanceTo(target);
+        clock_ = target;
+    }
+
+    void
+    checkNextEventCycle()
+    {
+        const Cycle next = queue_.nextEventCycle();
+        const Cycle head = refHead();
+        if (head == invalidCycle)
+            return;
+        EXPECT_GE(next, queue_.curCycle());
+        EXPECT_LE(next, head);
+    }
+
+    void
+    expectInSync()
+    {
+        EXPECT_EQ(queue_.size(), live_);
+        EXPECT_EQ(queue_.curCycle(), clock_);
+        if (queue_.size() != live_ || queue_.curCycle() != clock_)
+            failed_ = true;
+    }
+
+    EventQueue queue_;
+    Random rng_;
+    std::vector<std::unique_ptr<ProbeEvent>> events_;
+
+    std::priority_queue<RefRecord, std::vector<RefRecord>, std::greater<>>
+        ref_;
+    /** Seq of each event's live reference record, or noSeq. */
+    std::vector<std::uint64_t> seq_;
+    std::size_t live_ = 0;
+    std::uint64_t nextSeq_ = 0;
+    Cycle clock_ = 0;
+
+    std::uint64_t dispatches_ = 0;
+    std::uint64_t dispatchedThisStep_ = 0;
+    bool failed_ = false;
+};
+
+void
+ProbeEvent::process()
+{
+    oracle_->dispatched(id_);
+}
+
+class WheelDifferentialTest : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+} // namespace
+
+TEST_P(WheelDifferentialTest, RandomizedOpsMatchReference)
+{
+    WheelOracle oracle(0x3e11d1ffULL ^ (GetParam() << 32), 48);
+    for (int op = 0; op < 40000 && !oracle.failed(); ++op)
+        oracle.step();
+    oracle.drain();
+    EXPECT_FALSE(oracle.failed());
+    // Enough traffic that the draws above really exercised the wheel.
+    EXPECT_GT(oracle.dispatches(), 10000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WheelDifferentialTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
