@@ -39,15 +39,17 @@ main(int argc, char **argv)
         config.hotspotSlice = 0; // concentrate contention
         // Held here, not run through runMany(), so the fabric's
         // fairness stats can be read back after the run.
-        cpu::System system(harness.prepare(config));
-        auto result = system.run(args.accesses);
-        auto &org =
-            dynamic_cast<core::NocstarOrg &>(system.organization());
-        std::printf("%10llu %12.3f %12.2f %14.0f\n",
-                    static_cast<unsigned long long>(epoch),
-                    bench::speedupVsPrivate(priv, result),
-                    org.fabric().averageLatency(),
-                    org.fabric().retryDistribution.maxSample());
+        bench::exitOnFatal("abl_priority_epoch", [&] {
+            cpu::System system(harness.prepare(config));
+            auto result = system.run(args.accesses);
+            auto &org =
+                dynamic_cast<core::NocstarOrg &>(system.organization());
+            std::printf("%10llu %12.3f %12.2f %14.0f\n",
+                        static_cast<unsigned long long>(epoch),
+                        bench::speedupVsPrivate(priv, result),
+                        org.fabric().averageLatency(),
+                        org.fabric().retryDistribution.maxSample());
+        });
     }
     return 0;
 }

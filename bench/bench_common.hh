@@ -137,11 +137,11 @@ parseSampleSpec(const std::string &spec, cpu::SamplingConfig &out)
 
 /**
  * The run options every bench and examples/simulate share:
- * observability, fault injection, the NOCSTAR fabric, sampled
- * simulation and checkpoints. The caller owns the value; addTo()
- * registers its flags on a parser and apply() lays it over one
- * configuration. Everything defaults off, so the hot path is untouched
- * (and a sweep's stdout byte-identical) unless an option is requested.
+ * observability, fault injection, sampled simulation and checkpoints.
+ * The caller owns the value; addTo() registers its flags on a parser
+ * and apply() lays it over one configuration. Everything defaults off,
+ * so the hot path is untouched (and a sweep's stdout byte-identical)
+ * unless an option is requested.
  */
 struct RunOptions
 {
@@ -157,10 +157,6 @@ struct RunOptions
     std::optional<sim::FaultPlan> faultPlan; ///< --fault-plan
     /** --fault-seed: replaces the plan's seed, in either flag order. */
     std::optional<std::uint64_t> faultSeed;
-    /** --fabric: a checked parseFabricSpec() spec, laid over every
-     * NOCSTAR configuration. Organizations without a fabric ignore it,
-     * so the flag is safe sweep-wide. */
-    std::string fabric;
     std::optional<cpu::SamplingConfig> sampling; ///< --sample
     std::string checkpointSave;    ///< --checkpoint
     std::string checkpointRestore; ///< --restore
@@ -185,10 +181,6 @@ struct RunOptions
             if (faultSeed)
                 config.org.faults.seed = *faultSeed;
         }
-        if (!fabric.empty() &&
-            (config.org.kind == core::OrgKind::Nocstar ||
-             config.org.kind == core::OrgKind::NocstarIdeal))
-            core::parseFabricSpec(fabric, config.org);
         if (sampling)
             config.sampling = *sampling;
         if (!checkpointSave.empty())
@@ -269,21 +261,6 @@ RunOptions::addTo(ArgParser &parser)
         },
         "inject faults per this plan file (see docs)", "FILE");
     parser.option(
-        "fabric",
-        [this](const std::string &spec) {
-            core::OrgConfig probe;
-            if (std::string err = core::parseFabricSpec(spec, probe);
-                !err.empty()) {
-                std::fprintf(stderr, "--fabric: %s\n", err.c_str());
-                return false;
-            }
-            fabric = spec;
-            return true;
-        },
-        "NOCSTAR interconnect: flat (default), hier, or hier:WxH "
-        "(cluster geometry; hier alone picks it per mesh)",
-        "KIND");
-    parser.option(
         "sample",
         [this](const std::string &spec) {
             cpu::SamplingConfig parsed;
@@ -325,6 +302,25 @@ RunOptions::addTo(ArgParser &parser)
                      "plan whose seed it could override)"
                    : "";
     });
+}
+
+/**
+ * Run @p body and return what it returns. A FatalError it raises
+ * (invalid user input: a missing or mismatched checkpoint, an
+ * unwritable path, a malformed trace) prints its message after
+ * @p program and exits 2 instead of aborting; a PanicError, a
+ * simulator bug, still propagates.
+ */
+template <typename F>
+decltype(auto)
+exitOnFatal(const std::string &program, F &&body)
+{
+    try {
+        return body();
+    } catch (const FatalError &err) {
+        std::fprintf(stderr, "%s: %s\n", program.c_str(), err.what());
+        std::exit(2);
+    }
 }
 
 /** One simulation of a sweep: a configuration plus its run length. */
@@ -479,7 +475,8 @@ class SweepHarness
      * so downstream printing is independent of the job count. All
      * configurations are validated up front, so a bad sweep reports
      * every problem and exits before burning any simulation time. A
-     * single job always runs on the calling thread.
+     * single job always runs on the calling thread. A FatalError from
+     * any job (the pool rethrows it here) exits 2 with its message.
      *
      * When --stats-json is active on a parallel sweep, each
      * simulation appends to its own temp file (sink + ".tmpN", N a
@@ -498,9 +495,11 @@ class SweepHarness
                 applied[i].config.statsJsonPath =
                     options_.statsJson + ".tmp" +
                     std::to_string(simIndex_ + i);
-        auto results = pool_.map(applied, [](const SimJob &job) {
-            cpu::System system(job.config);
-            return system.run(job.accesses);
+        auto results = exitOnFatal(name_, [&] {
+            return pool_.map(applied, [](const SimJob &job) {
+                cpu::System system(job.config);
+                return system.run(job.accesses);
+            });
         });
         if (split_stats)
             mergeStatsTemps(applied);

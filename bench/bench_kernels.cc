@@ -56,13 +56,13 @@ BM_FabricUncontendedSend(benchmark::State &state)
     EventQueue queue;
     stats::StatGroup root("root");
     noc::GridTopology topo = noc::GridTopology::forCores(64);
-    auto fabric = core::makeInterconnect("fabric", queue, topo,
-                                         core::FabricConfig{}, &root);
+    core::Interconnect fabric("fabric", queue, topo, core::FabricConfig{},
+                              &root);
     Random rng(3);
     for (auto _ : state) {
         CoreId src = static_cast<CoreId>(rng.below(64));
         CoreId dst = static_cast<CoreId>(rng.below(64));
-        fabric->send(src, dst, queue.curCycle(), [](Cycle) {});
+        fabric.send(src, dst, queue.curCycle(), [](Cycle) {});
         queue.run();
     }
 }

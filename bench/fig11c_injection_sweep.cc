@@ -36,8 +36,8 @@ runPoint(double rate, Cycle horizon)
     {
         EventQueue queue;
         stats::StatGroup root("root");
-        auto fabric = core::makeInterconnect(
-            "fabric", queue, topo, core::FabricConfig{}, &root);
+        core::Interconnect fabric("fabric", queue, topo,
+                                  core::FabricConfig{}, &root);
         Random rng(1234);
         for (Cycle t = 0; t < horizon; ++t) {
             for (CoreId src = 0; src < 64; ++src) {
@@ -46,12 +46,12 @@ runPoint(double rate, Cycle horizon)
                 CoreId dst = static_cast<CoreId>(rng.below(64));
                 if (dst == src)
                     continue;
-                fabric->send(src, dst, t, [](Cycle) {});
+                fabric.send(src, dst, t, [](Cycle) {});
             }
         }
         queue.run();
-        point.nocstarLatency = fabric->averageLatency();
-        point.nocstarNoContention = fabric->noContentionFraction();
+        point.nocstarLatency = fabric.averageLatency();
+        point.nocstarNoContention = fabric.noContentionFraction();
     }
 
     // Multi-hop mesh with per-link serialization.

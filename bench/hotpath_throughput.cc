@@ -64,23 +64,25 @@ measure(SweepHarness &harness, const char *label, core::OrgKind kind,
 
     // The timed run holds its System, so the bypass streak stat can
     // be read back after run().
-    cpu::System system(harness.prepare(config));
-    auto start = std::chrono::steady_clock::now();
-    cpu::RunResult result = system.run(accesses);
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
+    return exitOnFatal("bench_hotpath", [&] {
+        cpu::System system(harness.prepare(config));
+        auto start = std::chrono::steady_clock::now();
+        cpu::RunResult result = system.run(accesses);
+        double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
 
-    Measurement m;
-    m.org = label;
-    m.accesses = result.l1Accesses;
-    m.simCycles = result.cycles;
-    m.wallSeconds = wall;
-    std::ostringstream streaks;
-    system.bypassStreaks().dumpJson(streaks);
-    m.streakJson = streaks.str();
-    m.streakMean = system.bypassStreaks().mean();
-    return m;
+        Measurement m;
+        m.org = label;
+        m.accesses = result.l1Accesses;
+        m.simCycles = result.cycles;
+        m.wallSeconds = wall;
+        std::ostringstream streaks;
+        system.bypassStreaks().dumpJson(streaks);
+        m.streakJson = streaks.str();
+        m.streakMean = system.bypassStreaks().mean();
+        return m;
+    });
 }
 
 /**

@@ -1,19 +1,19 @@
 /**
  * @file
- * Fabric scaling study for the 256-1024-tile design points: speedup
- * over the private-L2-TLB baseline, path-setup retry rate and per-tile
- * grant-wait p99 fairness versus tile count, for the flat NOCSTAR
- * fabric against the hierarchical crossbar-of-clusters hybrid, plus
- * the row-major vs cluster-local slice-placement ablation.
+ * Fabric scaling study for the 256-1024-tile design points: NOCSTAR's
+ * speedup over the private-L2-TLB baseline, path-setup retry rate and
+ * per-tile grant-wait p99 fairness versus tile count.
  *
- * Runs are serial and in ascending tile order so the getrusage() peak
- * RSS snapshot taken after each tile count attributes memory to the
- * largest system simulated so far; the 1024-tile figure lands in
- * BENCH_scale.json, which CI gates against regression.
+ * Runs are serial and in ascending tile order (--tiles is sorted) so
+ * the getrusage() peak RSS snapshot taken after each tile count
+ * attributes memory to the largest system simulated so far; the
+ * 1024-tile figure lands in BENCH_scale.json, which CI gates against
+ * regression.
  */
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -37,7 +37,6 @@ peakRssKb()
 struct Row
 {
     unsigned tiles;
-    const char *fabric;
     double speedup;
     double retryRate;
     double p99Max;
@@ -61,6 +60,8 @@ parseTilesList(const std::string &value, std::vector<unsigned> &out)
             break;
         pos = comma + 1;
     }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
     return !out.empty();
 }
 
@@ -72,16 +73,15 @@ main(int argc, char **argv)
     bench::BenchArgs args{/*accesses=*/2000};
     std::vector<unsigned> tileCounts{64, 256, 1024};
     bench::ArgParser parser = bench::makeBenchParser(
-        argc, argv,
-        "fabric scaling: flat vs hierarchical NOCSTAR at 64-1024 tiles",
-        args);
+        argc, argv, "fabric scaling: NOCSTAR at 64-1024 tiles", args);
     parser.option(
         "tiles",
         [&tileCounts](const std::string &value) {
             return parseTilesList(value, tileCounts);
         },
-        "comma-separated tile counts (default 64,256,1024)", "LIST");
-    bench::rejectSweptFlag(parser, "fabric", "the fabric");
+        "comma-separated tile counts, run in ascending order "
+        "(default 64,256,1024)",
+        "LIST");
     parser.parseOrExit(argc, argv);
     // Serial whatever --jobs says (a single job runs on this thread),
     // so each peak-RSS snapshot belongs to one system at a time.
@@ -91,12 +91,9 @@ main(int argc, char **argv)
     std::vector<Row> rows;
     std::vector<std::pair<unsigned, long>> rssByTiles;
 
-    auto nocstarConfig = [&spec](unsigned tiles, core::FabricKind kind,
-                                 core::SliceMapping mapping) {
+    auto nocstarConfig = [&spec](unsigned tiles) {
         cpu::SystemConfig config =
             bench::makeConfig(core::OrgKind::Nocstar, tiles, spec);
-        config.org.fabricKind = kind;
-        config.org.sliceMapping = mapping;
         config.org.recordGrantWait = true;
         return config;
     };
@@ -112,75 +109,39 @@ main(int argc, char **argv)
         cpu::SystemConfig priv =
             bench::makeConfig(core::OrgKind::Private, tiles, spec);
         cpu::RunResult base = harness.runMany({{priv, accesses}}).front();
-        struct Variant
-        {
-            const char *name;
-            core::FabricKind kind;
-            core::SliceMapping mapping;
-        };
-        const Variant variants[] = {
-            {"flat", core::FabricKind::Flat,
-             core::SliceMapping::RowMajor},
-            {"hier", core::FabricKind::Hierarchical,
-             core::SliceMapping::RowMajor},
-            {"hier+local", core::FabricKind::Hierarchical,
-             core::SliceMapping::ClusterLocal},
-        };
-        for (const Variant &v : variants) {
-            cpu::SystemConfig config =
-                nocstarConfig(tiles, v.kind, v.mapping);
-            cpu::RunResult r =
-                harness.runMany({{config, accesses}}).front();
-            rows.push_back({tiles, v.name,
-                            bench::speedupVsPrivate(base, r),
-                            r.fabricRetryRate, r.fabricGrantWaitP99Max,
-                            r.fabricGrantWaitP99Mean});
-        }
+        cpu::RunResult r =
+            harness.runMany({{nocstarConfig(tiles), accesses}}).front();
+        rows.push_back({tiles, bench::speedupVsPrivate(base, r),
+                        r.fabricRetryRate, r.fabricGrantWaitP99Max,
+                        r.fabricGrantWaitP99Mean});
         rssByTiles.push_back({tiles, peakRssKb()});
     }
 
-    // Per-component byte accounting at the largest tile count, for
-    // both fabrics: where the 1024-tile footprint actually lives
-    // (SoA TLB arrays, page-table pool, walk caches, path tables).
-    struct AuditRow
-    {
-        const char *fabric;
-        cpu::System::MemoryAudit audit;
-    };
-    std::vector<AuditRow> audits;
-    {
-        unsigned tiles = tileCounts.back();
-        for (auto [label, kind] :
-             {std::pair{"flat", core::FabricKind::Flat},
-              std::pair{"hier", core::FabricKind::Hierarchical}}) {
-            cpu::System system(harness.prepare(
-                nocstarConfig(tiles, kind, core::SliceMapping::RowMajor)));
-            audits.push_back({label, system.memoryAudit()});
-        }
-    }
+    // Per-component byte accounting at the largest tile count: where
+    // the 1024-tile footprint actually lives (SoA TLB arrays,
+    // page-table pool, walk caches, path tables).
+    const unsigned auditTiles = tileCounts.back();
+    const cpu::System::MemoryAudit audit =
+        bench::exitOnFatal("scaling_fabric", [&] {
+            cpu::System system(harness.prepare(nocstarConfig(auditTiles)));
+            return system.memoryAudit();
+        });
 
-    std::printf("Fabric scaling: NOCSTAR flat vs hierarchical "
-                "(speedup vs private)\n");
-    std::printf("%8s %-12s %10s %12s %14s %14s\n", "tiles", "fabric",
-                "speedup", "retry rate", "p99 wait max",
-                "p99 wait mean");
+    std::printf("Fabric scaling: NOCSTAR (speedup vs private)\n");
+    std::printf("%8s %10s %12s %14s %14s\n", "tiles", "speedup",
+                "retry rate", "p99 wait max", "p99 wait mean");
     for (const Row &r : rows)
-        std::printf("%8u %-12s %10.3f %12.4f %14.1f %14.1f\n", r.tiles,
-                    r.fabric, r.speedup, r.retryRate, r.p99Max,
-                    r.p99Mean);
+        std::printf("%8u %10.3f %12.4f %14.1f %14.1f\n", r.tiles,
+                    r.speedup, r.retryRate, r.p99Max, r.p99Mean);
     for (auto [tiles, kb] : rssByTiles)
         std::printf("peak RSS through %4u tiles: %ld KB\n", tiles, kb);
-    for (const AuditRow &a : audits)
-        std::printf("%u-tile %s memory: org arrays %zu KB, L1 %zu KB, "
-                    "page table %zu KB, walk caches %zu KB, "
-                    "fabric %zu KB (total %zu KB)\n",
-                    tileCounts.back(), a.fabric,
-                    a.audit.orgArrayBytes / 1024,
-                    a.audit.l1Bytes / 1024,
-                    a.audit.pageTableBytes / 1024,
-                    a.audit.cacheModelBytes / 1024,
-                    a.audit.fabricBytes / 1024,
-                    a.audit.total() / 1024);
+    std::printf("%u-tile memory: org arrays %zu KB, L1 %zu KB, "
+                "page table %zu KB, walk caches %zu KB, "
+                "fabric %zu KB (total %zu KB)\n",
+                auditTiles, audit.orgArrayBytes / 1024,
+                audit.l1Bytes / 1024, audit.pageTableBytes / 1024,
+                audit.cacheModelBytes / 1024, audit.fabricBytes / 1024,
+                audit.total() / 1024);
 
     // Machine-readable record; CI gates peak_rss_kb at the largest
     // tile count against the committed baseline.
@@ -190,31 +151,25 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(args.accesses));
         for (std::size_t i = 0; i < rows.size(); ++i)
             std::fprintf(f,
-                         "%s{\"tiles\": %u, \"fabric\": \"%s\", "
+                         "%s{\"tiles\": %u, "
                          "\"speedup\": %.4f, \"retry_rate\": %.6f, "
                          "\"grant_wait_p99_max\": %.1f, "
                          "\"grant_wait_p99_mean\": %.1f}",
-                         i ? ", " : "", rows[i].tiles, rows[i].fabric,
-                         rows[i].speedup, rows[i].retryRate,
-                         rows[i].p99Max, rows[i].p99Mean);
+                         i ? ", " : "", rows[i].tiles, rows[i].speedup,
+                         rows[i].retryRate, rows[i].p99Max,
+                         rows[i].p99Mean);
         std::fprintf(f, "], \"peak_rss_kb\": {");
         for (std::size_t i = 0; i < rssByTiles.size(); ++i)
             std::fprintf(f, "%s\"%u\": %ld", i ? ", " : "",
                          rssByTiles[i].first, rssByTiles[i].second);
-        std::fprintf(f, "}, \"memory_bytes\": {");
-        for (std::size_t i = 0; i < audits.size(); ++i) {
-            const cpu::System::MemoryAudit &a = audits[i].audit;
-            std::fprintf(f,
-                         "%s\"%s\": {\"tiles\": %u, "
-                         "\"org_arrays\": %zu, \"l1\": %zu, "
-                         "\"page_table\": %zu, \"cache_model\": %zu, "
-                         "\"fabric\": %zu, \"total\": %zu}",
-                         i ? ", " : "", audits[i].fabric,
-                         tileCounts.back(), a.orgArrayBytes, a.l1Bytes,
-                         a.pageTableBytes, a.cacheModelBytes,
-                         a.fabricBytes, a.total());
-        }
-        std::fprintf(f, "}}\n");
+        std::fprintf(f,
+                     "}, \"memory_bytes\": {\"tiles\": %u, "
+                     "\"org_arrays\": %zu, \"l1\": %zu, "
+                     "\"page_table\": %zu, \"cache_model\": %zu, "
+                     "\"fabric\": %zu, \"total\": %zu}}\n",
+                     auditTiles, audit.orgArrayBytes, audit.l1Bytes,
+                     audit.pageTableBytes, audit.cacheModelBytes,
+                     audit.fabricBytes, audit.total());
         std::fclose(f);
         std::fprintf(stderr,
                      "[scaling_fabric] wrote BENCH_scale.json\n");

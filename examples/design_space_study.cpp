@@ -52,6 +52,7 @@ main(int argc, char **argv)
                       "workload name (default xsbench)");
     parser.positional("ACCESSES", &base_accesses,
                       "base accesses per thread (default 10000)");
+    parser.check([&name] { return workload::unknownWorkloadError(name); });
     parser.parseOrExit(argc, argv);
     const workload::WorkloadSpec &spec = workload::findWorkload(name);
 

@@ -28,6 +28,7 @@ main(int argc, char **argv)
                       "workload name (default graph500)");
     parser.positional("ACCESSES", &accesses,
                       "accesses per thread (default 20000)");
+    parser.check([&name] { return workload::unknownWorkloadError(name); });
     parser.parseOrExit(argc, argv);
 
     // 1. Pick a workload model (the 11 paper workloads are built in).

@@ -10,13 +10,15 @@
  *       --fault-plan outage.plan
  *
  * Run with --help for the full flag list. Both `--flag value` and
- * `--flag=value` spellings work. The observability, fault, fabric,
- * sampling and checkpoint flags are bench::RunOptions, the same set
- * every bench takes.
+ * `--flag=value` spellings work. The observability, fault, sampling
+ * and checkpoint flags are bench::RunOptions, the same set every
+ * bench takes.
  */
 
+#include <climits>
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "bench/bench_common.hh"
@@ -119,19 +121,6 @@ main(int argc, char **argv)
         "oneway | roundtrip (default oneway)", "MODE");
     parser.option("hpcmax", &config.org.hpcMax,
                   "fabric hops per cycle (default 16)");
-    parser.option(
-        "slice-map",
-        [&config](const std::string &value) {
-            if (value != "row-major" && value != "cluster-local")
-                return false;
-            config.org.sliceMapping = value == "cluster-local"
-                ? core::SliceMapping::ClusterLocal
-                : core::SliceMapping::RowMajor;
-            return true;
-        },
-        "row-major | cluster-local slice placement (default "
-        "row-major; cluster-local needs --fabric hier)",
-        "MAP");
     parser.option("leaders", &config.org.invalLeaderGroup,
                   "invalidation leader group (default 0)");
     parser.option("fixed-ptw", &config.walker.fixedLatency,
@@ -141,7 +130,7 @@ main(int argc, char **argv)
         "hotspot",
         [&config](const std::string &value) {
             std::uint64_t slice;
-            if (!bench::parseUnsigned(value, slice))
+            if (!bench::parseUnsigned(value, slice) || slice > INT_MAX)
                 return false;
             config.hotspotSlice = static_cast<int>(slice);
             return true;
@@ -156,6 +145,10 @@ main(int argc, char **argv)
                 "enable the TLB-storm microbenchmark");
     parser.flag("stats", &dump_stats, "dump the full statistics tree");
     options.addTo(parser);
+    parser.check(
+        [&workload_name] {
+            return workload::unknownWorkloadError(workload_name);
+        });
     parser.parseOrExit(argc, argv);
 
     if (no_superpages)
@@ -170,10 +163,6 @@ main(int argc, char **argv)
                        threads ? threads : config.org.numCores};
     app.traceFile = trace_file;
     config.apps.push_back(app);
-    // A sweep lays --fabric over its NOCSTAR runs only; this one run
-    // takes it as asked, so validate() rejects it on any other org.
-    if (!options.fabric.empty())
-        core::parseFabricSpec(options.fabric, config.org);
     config = options.apply(config);
 
     if (std::vector<std::string> errors = config.validate();
@@ -187,8 +176,11 @@ main(int argc, char **argv)
     if (options.trace)
         sim::TraceRecorder::global().start();
 
-    cpu::System system(config);
-    cpu::RunResult result = system.run(accesses);
+    std::optional<cpu::System> system;
+    cpu::RunResult result = bench::exitOnFatal("simulate", [&] {
+        system.emplace(config);
+        return system->run(accesses);
+    });
 
     if (options.trace)
         bench::exportTrace("simulate", options.traceOut);
@@ -246,7 +238,7 @@ main(int argc, char **argv)
 
     if (dump_stats) {
         std::printf("\n--- statistics ---\n");
-        system.dumpAll(std::cout);
+        system->dumpAll(std::cout);
     }
     return 0;
 }

@@ -43,40 +43,8 @@ enum class PathAcquire
     RoundTrip, ///< both directions held for the whole slice access
 };
 
-/** Interconnect implementation behind the core::Interconnect seam. */
-enum class FabricKind
-{
-    Flat, ///< one chip-wide circuit-switched mesh (the paper's NOCSTAR)
-    /** TeraNoC-style hybrid: single-cycle crossbar within a cluster,
-     * circuit-switched mesh with rotating chip-wide priority between
-     * clusters. The 256-1024-tile design point. */
-    Hierarchical,
-};
-
-/** How interleave indices map to home-slice tiles. */
-enum class SliceMapping
-{
-    RowMajor, ///< index i homes on tile i (the paper's layout)
-    /** Consecutive indices fill one cluster before moving to the next
-     * (hierarchical fabric only): keeps runs of hot pages behind one
-     * crossbar instead of striping them across the cluster mesh. */
-    ClusterLocal,
-};
-
 /** @return a short printable name for an organization. */
 const char *orgKindName(OrgKind kind);
-
-/** @return a short printable name for a fabric kind. */
-const char *fabricKindName(FabricKind kind);
-
-struct OrgConfig;
-
-/**
- * Parse a `flat` / `hier` / `hier:CxC` fabric spec (the `--fabric`
- * bench flag) into @p config's fabricKind / cluster geometry fields.
- * @return an error message, or empty on success.
- */
-std::string parseFabricSpec(const std::string &spec, OrgConfig &config);
 
 /** @return true for the organizations with per-core shared slices. */
 bool isSliced(OrgKind kind);
@@ -105,18 +73,6 @@ struct OrgConfig
     Cycle priorityEpoch = 1000;
     PathAcquire pathAcquire = PathAcquire::OneWay;
 
-    /** Interconnect implementation for the NOCSTAR organizations. */
-    FabricKind fabricKind = FabricKind::Flat;
-    /**
-     * Hierarchical cluster geometry in tiles (width x height). Both
-     * zero (the default) picks a geometry automatically; both must be
-     * set together otherwise, and each must divide the corresponding
-     * mesh dimension.
-     */
-    unsigned clusterWidth = 0;
-    unsigned clusterHeight = 0;
-    /** Interleave-index -> home-tile mapping (hierarchical only). */
-    SliceMapping sliceMapping = SliceMapping::RowMajor;
     /**
      * Record per-source-tile grant-wait histograms in the fabric (for
      * the scaling bench's rotation-fairness p99). Host-side only:

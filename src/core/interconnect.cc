@@ -1,15 +1,16 @@
 /**
  * @file
- * The shared circuit-switched arbitration engine behind the
- * Interconnect seam.
+ * The NOCSTAR fabric: arbitration engine and XY path model. Paths are
+ * precomputed per pair up to kPathTableMaxTiles tiles (or whenever a
+ * fault plan needs rewritable paths) and materialized on demand above.
  *
  * Timing convention: a send() posted in cycle T arbitrates in T (the
- * "path setup" cycle); granted data occupies its resources during
- * cycles (T, T+traversal] and is latched at the destination at
- * T+traversal. Reported network latency counts the setup cycle plus
- * traversal and any waiting, so an uncontended single-hop message
- * costs 2 cycles, matching §V ("1 cycle in path setup and another
- * cycle to traverse").
+ * "path setup" cycle); granted data occupies its links during cycles
+ * (T, T+traversal] and is latched at the destination at T+traversal.
+ * Reported network latency counts the setup cycle plus traversal and
+ * any waiting, so an uncontended single-hop message costs 2 cycles,
+ * matching §V ("1 cycle in path setup and another cycle to
+ * traverse").
  *
  * Each tile owns a single set of path-setup request wires, so at most
  * one request per source arbitrates per cycle; younger requests from
@@ -21,6 +22,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "sim/trace.hh"
 #include "sim/trace_recorder.hh"
@@ -95,6 +97,15 @@ Interconnect::Interconnect(const std::string &name, EventQueue &queue,
         for (const sim::LinkFaultSpec &f : plan.linkFaults)
             queue_.scheduleLambda(f.start,
                                   [this, f] { activateFault(f); });
+        pairDegraded_.assign(
+            static_cast<std::size_t>(topo_.numTiles()) *
+                topo_.numTiles(), 0);
+    }
+    if (topo_.numTiles() <= kPathTableMaxTiles || faults_) {
+        buildPathTable();
+    } else {
+        scratch_[0].reserve(topo_.width() + topo_.height());
+        scratch_[1].reserve(topo_.width() + topo_.height());
     }
 }
 
@@ -323,7 +334,7 @@ Interconnect::activateFault(const sim::LinkFaultSpec &fault)
           fault.permanent() ? " (permanent)" : "");
     if (fault.permanent() && !linkDeadPermanent_[fault.link]) {
         linkDeadPermanent_[fault.link] = 1;
-        onPermanentLinkDeath(fault.link);
+        rebuildPaths();
     }
 }
 
@@ -333,12 +344,10 @@ Interconnect::degrade(CoreId src, Cycle now)
     const Request &req = pending_[src].head->req;
     // Deliver over the store-and-forward maintenance mesh instead
     // (noc::QueuedMeshNetwork timing: router + wire cycle per hop, one
-    // flit per link-cycle). The maintenance mesh is a tile-level
-    // structure for every fabric kind, so this path is shared. For
-    // round-trip messages only the forward trip is recosted; the
-    // caller's pre-granted-return accounting stands in for the
-    // response, which is an understatement we accept for a degraded
-    // corner.
+    // flit per link-cycle). For round-trip messages only the forward
+    // trip is recosted; the caller's pre-granted-return accounting
+    // stands in for the response, which is an understatement we accept
+    // for a degraded corner.
     Cycle t = now;
     for (const noc::LinkId &link : topo_.xyPath(req.src, req.dst)) {
         t += 1; // route compute / switch allocation
@@ -384,6 +393,228 @@ Interconnect::syncFaultStats(Cycle now)
             linkDeadCycles[f.link] += static_cast<double>(to - from);
     }
     faultStatsThrough_ = now;
+}
+
+void
+Interconnect::buildPathTable()
+{
+    unsigned tiles = topo_.numTiles();
+    pathOffset_.assign(static_cast<std::size_t>(tiles) * tiles + 1, 0);
+    // Total link count across all pairs equals the sum of Manhattan
+    // distances; size once, then fill.
+    std::size_t total = 0;
+    for (CoreId src = 0; src < tiles; ++src)
+        for (CoreId dst = 0; dst < tiles; ++dst)
+            total += topo_.hops(src, dst);
+    if (total > std::numeric_limits<std::uint32_t>::max())
+        fatal("fabric path table needs ", total,
+              " entries, past the 32-bit offset space; the ", tiles,
+              "-tile mesh is too large for stored paths");
+    pathLinks_.reserve(total);
+
+    for (CoreId src = 0; src < tiles; ++src) {
+        for (CoreId dst = 0; dst < tiles; ++dst) {
+            topo_.xyLinksInto(src, dst, pathLinks_);
+            pathOffset_[pairIndex(src, dst) + 1] =
+                static_cast<std::uint32_t>(pathLinks_.size());
+        }
+    }
+}
+
+void
+Interconnect::pathLinksInto(CoreId src, CoreId dst,
+                            std::vector<std::uint32_t> &out) const
+{
+    if (pathOffset_.empty()) {
+        topo_.xyLinksInto(src, dst, out);
+        return;
+    }
+    std::span<const std::uint32_t> path = tableLinks(src, dst);
+    out.insert(out.end(), path.begin(), path.end());
+}
+
+bool
+Interconnect::tryAcquire(const Request &req, Cycle now)
+{
+    // Both directions come with no per-attempt allocation (this runs
+    // on every retry of every arbitration round): table spans, or the
+    // XY path filled into the reusable scratch buffers. Note the XY
+    // reverse path dst -> src is not the mirrored forward path, so it
+    // is materialized separately.
+    std::span<const std::uint32_t> path = pathSpan(req.src, req.dst, 0);
+    std::span<const std::uint32_t> reverse;
+    if (req.roundTrip)
+        reverse = pathSpan(req.dst, req.src, 1);
+
+    Cycle traversal = traversalCycles(static_cast<unsigned>(path.size()));
+    // Round trip additionally holds the reverse path through the slice
+    // access and the response traversal.
+    Cycle hold = req.roundTrip ? 2 * traversal + req.holdExtra : traversal;
+
+    if (!config_.ideal) {
+        for (std::uint32_t link : path) {
+            if (linkHeldUntil_[link] > now) {
+                linkDenies[link] += 1;
+                return false;
+            }
+        }
+        for (std::uint32_t link : reverse) {
+            if (linkHeldUntil_[link] > now) {
+                linkDenies[link] += 1;
+                return false;
+            }
+        }
+    }
+
+    if (faults_) {
+        // Fault-disabled links deny even the ideal fabric: an outage
+        // is physical, not contention.
+        for (std::uint32_t link : path) {
+            if (linkFaultyUntil_[link] > now) {
+                linkDenies[link] += 1;
+                return false;
+            }
+        }
+        for (std::uint32_t link : reverse) {
+            if (linkFaultyUntil_[link] > now) {
+                linkDenies[link] += 1;
+                return false;
+            }
+        }
+        // All arbiters granted; model the grant pulse itself getting
+        // corrupted on the way back (drawn only for would-be winners,
+        // so the stream is reproducible for a given plan + seed).
+        if (faults_->loseGrant()) {
+            ++faultsInjected;
+            return false;
+        }
+    }
+
+    bool record = sim::recording();
+    for (std::uint32_t link : path) {
+        linkHeldUntil_[link] = std::max(linkHeldUntil_[link], now + hold);
+        linkGrants[link] += 1;
+        linkHoldCycles[link] += static_cast<double>(hold);
+        if (record)
+            sim::recorder().span(sim::Lane::Link, link, "held", now,
+                                 now + hold, req.src, req.dst, "src",
+                                 "dst");
+    }
+    for (std::uint32_t link : reverse) {
+        linkHeldUntil_[link] = std::max(linkHeldUntil_[link], now + hold);
+        linkGrants[link] += 1;
+        linkHoldCycles[link] += static_cast<double>(hold);
+        if (record)
+            sim::recorder().span(sim::Lane::Link, link, "held (reverse)",
+                                 now, now + hold, req.src, req.dst,
+                                 "src", "dst");
+    }
+    return true;
+}
+
+void
+Interconnect::rebuildPaths()
+{
+    unsigned tiles = topo_.numTiles();
+    std::vector<std::uint32_t> offsets(
+        static_cast<std::size_t>(tiles) * tiles + 1, 0);
+    std::vector<std::uint32_t> links;
+    links.reserve(pathLinks_.size());
+
+    // BFS tree from one source over the surviving links; neighbours
+    // are visited in fixed E, W, N, S order so the rerouted paths are
+    // deterministic. Computed lazily, once per source that needs it.
+    std::vector<std::int32_t> parent(tiles);
+    std::vector<std::uint32_t> viaLink(tiles, 0);
+    std::vector<CoreId> order;
+    std::int64_t treeFor = -1;
+    auto ensureTree = [&](CoreId src) {
+        if (treeFor == static_cast<std::int64_t>(src))
+            return;
+        treeFor = src;
+        std::fill(parent.begin(), parent.end(), -1);
+        parent[src] = static_cast<std::int32_t>(src);
+        order.clear();
+        order.push_back(src);
+        static constexpr struct { int dx, dy; } step[4] = {
+            {1, 0}, {-1, 0}, {0, -1}, {0, 1}}; // E, W, N, S
+        for (std::size_t head = 0; head < order.size(); ++head) {
+            CoreId at = order[head];
+            noc::Coord c = topo_.coordOf(at);
+            for (unsigned d = 0; d < 4; ++d) {
+                int nx = static_cast<int>(c.x) + step[d].dx;
+                int ny = static_cast<int>(c.y) + step[d].dy;
+                if (nx < 0 || ny < 0 ||
+                    nx >= static_cast<int>(topo_.width()) ||
+                    ny >= static_cast<int>(topo_.height()))
+                    continue;
+                std::uint32_t link = at * 4 + d;
+                if (linkDeadPermanent_[link])
+                    continue;
+                auto to = topo_.tileAt({static_cast<unsigned>(nx),
+                                        static_cast<unsigned>(ny)});
+                if (parent[to] >= 0)
+                    continue;
+                parent[to] = static_cast<std::int32_t>(at);
+                viaLink[to] = link;
+                order.push_back(to);
+            }
+        }
+    };
+
+    // Pairs whose XY path survives keep it bit-for-bit (their timing
+    // must not change); only pairs crossing a dead link reroute.
+    std::vector<std::uint32_t> reversed;
+    for (CoreId src = 0; src < tiles; ++src) {
+        for (CoreId dst = 0; dst < tiles; ++dst) {
+            std::size_t pair = pairIndex(src, dst);
+            std::span<const std::uint32_t> old = tableLinks(src, dst);
+            bool crossesDead = false;
+            for (std::uint32_t link : old) {
+                if (linkDeadPermanent_[link]) {
+                    crossesDead = true;
+                    break;
+                }
+            }
+            if (!crossesDead) {
+                links.insert(links.end(), old.begin(), old.end());
+            } else {
+                ensureTree(src);
+                if (parent[dst] < 0) {
+                    pairDegraded_[pair] = 1;
+                    TRACE(Fabric, "no surviving path ", src, " -> ",
+                          dst, "; pair degraded to fallback mesh");
+                } else {
+                    pairDegraded_[pair] = 0;
+                    reversed.clear();
+                    for (CoreId at = dst; at != src;
+                         at = static_cast<CoreId>(parent[at]))
+                        reversed.push_back(viaLink[at]);
+                    links.insert(links.end(), reversed.rbegin(),
+                                 reversed.rend());
+                }
+            }
+            offsets[pair + 1] =
+                static_cast<std::uint32_t>(links.size());
+        }
+    }
+    pathOffset_ = std::move(offsets);
+    pathLinks_ = std::move(links);
+}
+
+std::unique_ptr<Interconnect>
+makeInterconnect(const std::string &name, EventQueue &queue,
+                 const noc::GridTopology &topo, const OrgConfig &config,
+                 stats::StatGroup *parent)
+{
+    FabricConfig fabric;
+    fabric.hpcMax = config.hpcMax;
+    fabric.priorityEpoch = config.priorityEpoch;
+    fabric.ideal = config.kind == OrgKind::NocstarIdeal;
+    fabric.faults = config.faults.empty() ? nullptr : &config.faults;
+    fabric.recordGrantWait = config.recordGrantWait;
+    return std::make_unique<Interconnect>(name, queue, topo, fabric,
+                                          parent);
 }
 
 } // namespace nocstar::core

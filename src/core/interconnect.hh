@@ -1,45 +1,48 @@
 /**
  * @file
- * The Interconnect seam: the abstract interface every TLB-carrying
- * fabric implements, plus the shared circuit-switched arbitration
- * engine both concrete fabrics (flat NOCSTAR, hierarchical hybrid)
- * are built on.
+ * The NOCSTAR interconnect (paper §III-B): a latchless,
+ * circuit-switched side-band network giving near single-cycle
+ * traversal between any L1 TLB and any L2 TLB slice over one
+ * chip-wide mesh with XY paths.
  *
- * What the interface guarantees to organizations and the system:
- *  - path-setup request/grant semantics: a send() posted in cycle T
- *    arbitrates from T, one outstanding setup per source tile per
- *    cycle (single set of request wires), all-or-nothing resource
- *    acquisition, 1-cycle retry;
- *  - deterministic grant order: contenders are served in rotated
- *    static priority (rotation advances every priorityEpoch cycles,
- *    chip-wide consistent), ties broken by source id then FIFO age --
- *    so a run's outcome depends only on its config and seed, never on
- *    host parallelism;
+ * Control path, modelled cycle-accurately:
+ *  - a requester posts path-setup requests to the arbiter of *every*
+ *    link on its path in the same cycle; a send() posted in cycle T
+ *    arbitrates from T, and each source tile has a single set of
+ *    request wires, so one outstanding setup per source per cycle;
+ *  - each link arbiter grants at most one requester per cycle;
+ *  - a requester proceeds only if ALL its links granted ("the grants
+ *    are ANDed"); otherwise it retries next cycle, guaranteeing no
+ *    partially-held paths and hence no deadlock;
+ *  - arbiters share a static priority order that rotates round-robin
+ *    every priorityEpoch cycles (default 1000) to prevent starvation,
+ *    ties broken by source id then FIFO age. Because the order is
+ *    chip-wide consistent, the highest-priority contender always
+ *    acquires its full path: livelock-free, and a run's outcome
+ *    depends only on its config and seed, never on host parallelism.
+ *
+ * Datapath: granted messages traverse muxes without latching, covering
+ * up to HPCmax hops per cycle; longer paths take ceil(hops / HPCmax)
+ * cycles through pipeline latches (§III-B3).
+ *
+ * What the fabric guarantees to organizations and the system:
  *  - message delivery with continuation: the continuation fires
  *    exactly once, at the destination latch cycle, on the simulated
  *    queue, in place inside the pooled message that carried it;
  *  - per-link stats/heatmap export: the link_grants / link_denies /
- *    link_hold_cycles vectors are indexed by flattened LinkId over the
- *    *tile* mesh for every implementation, so heatmap tooling is
- *    fabric-agnostic;
- *  - fault-injection hooks: link outages (transient or permanent,
- *    with deterministic route-around), grant loss, capped backoff,
- *    watchdog, and the store-and-forward mesh fallback all live in the
- *    shared engine; implementations only supply the path/resource
- *    model;
+ *    link_hold_cycles vectors are indexed by flattened LinkId;
+ *  - fault injection: link outages (transient or permanent, with
+ *    deterministic route-around), grant loss, capped backoff,
+ *    watchdog, and the store-and-forward mesh fallback;
  *  - trace lanes: granted paths emit Lane::Link hold spans and
- *    Lane::Message spans keyed the same way for every implementation.
- *
- * Construction goes through makeInterconnect() (defined in
- * org_factory.cc, the single construction point for (organization,
- * fabric) pairs). Nothing outside src/core/ includes the concrete
- * fabric headers.
+ *    Lane::Message spans.
  */
 
 #ifndef NOCSTAR_CORE_INTERCONNECT_HH
 #define NOCSTAR_CORE_INTERCONNECT_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,7 +58,6 @@ namespace nocstar::core
 /** Fabric tuning knobs. */
 struct FabricConfig
 {
-    FabricKind kind = FabricKind::Flat;
     unsigned hpcMax = 16;
     Cycle priorityEpoch = 1000;
     /** Contention-free mode: every setup succeeds (NOCSTAR-ideal). */
@@ -67,13 +69,6 @@ struct FabricConfig
      */
     const sim::FaultPlan *faults = nullptr;
     /**
-     * Hierarchical cluster geometry in tiles (0 = auto: near-square
-     * clusters of up to 4x4 tiles). Must divide the mesh dimensions;
-     * OrgConfig::validate() reports violations with hints.
-     */
-    unsigned clusterWidth = 0;
-    unsigned clusterHeight = 0;
-    /**
      * Keep one grant-wait histogram per source tile (cycles from
      * send() to path grant), for the priority-rotation fairness
      * figure. Host-side only -- simulated timing and the stats tree
@@ -83,13 +78,10 @@ struct FabricConfig
 };
 
 /**
- * Abstract interconnect: the only fabric type organizations, the
- * system and the bench wiring see. Also hosts the shared arbitration
- * engine (request queues, priority rotation, retry/backoff/watchdog,
- * mesh fallback) -- concrete fabrics supply the resource model via the
- * protected virtuals.
+ * The event-driven NOCSTAR fabric: request queues, priority rotation,
+ * retry/backoff/watchdog, mesh fallback and the XY path model.
  */
-class Interconnect : public stats::StatGroup
+class Interconnect final : public stats::StatGroup
 {
   public:
     /**
@@ -101,6 +93,16 @@ class Interconnect : public stats::StatGroup
      * callback).
      */
     using DeliverFn = InlineFunction<void(Cycle arrival), 192>;
+
+    /**
+     * Largest tile count that keeps the dense per-pair path table
+     * (O(tiles^2 x mean hops) words). Above it paths are materialized
+     * on demand into two reusable scratch buffers instead, so a
+     * 1024-tile fabric costs O(tiles) memory, not gigawords. A fault
+     * plan forces the table at any size: route-around rewrites paths,
+     * which needs them stored.
+     */
+    static constexpr unsigned kPathTableMaxTiles = 256;
 
     Interconnect(const std::string &name, EventQueue &queue,
                  const noc::GridTopology &topo,
@@ -145,19 +147,27 @@ class Interconnect : public stats::StatGroup
 
     const noc::GridTopology &topology() const { return topo_; }
 
-    /** Hop count of the current path src -> dst (reporting only). */
-    virtual unsigned pathHops(CoreId src, CoreId dst) const = 0;
+    /** Hop count of the current path src -> dst. */
+    unsigned
+    pathHops(CoreId src, CoreId dst) const
+    {
+        if (pathOffset_.empty())
+            return topo_.hops(src, dst);
+        std::size_t pair = pairIndex(src, dst);
+        return pathOffset_[pair + 1] - pathOffset_[pair];
+    }
 
     /** Cycles a granted src -> dst path takes to traverse. */
-    virtual Cycle traversal(CoreId src, CoreId dst) const = 0;
+    Cycle
+    traversal(CoreId src, CoreId dst) const
+    {
+        return traversalCycles(pathHops(src, dst));
+    }
 
-    /**
-     * Append the flattened tile-mesh link ids a src -> dst message
-     * occupies (debug / differential tests; intra-cluster crossbar
-     * hops of the hierarchical fabric contribute no mesh links).
-     */
-    virtual void pathLinksInto(CoreId src, CoreId dst,
-                               std::vector<std::uint32_t> &out) const = 0;
+    /** Append the flattened link ids a src -> dst message occupies
+     * (debug / differential tests). */
+    void pathLinksInto(CoreId src, CoreId dst,
+                       std::vector<std::uint32_t> &out) const;
 
     /** Traversal cycles of a pipelined mesh segment of @p hops hops. */
     Cycle
@@ -168,9 +178,7 @@ class Interconnect : public stats::StatGroup
         return (hops + config_.hpcMax - 1) / config_.hpcMax;
     }
 
-    // Statistics exercised by the figures. Identical names, types and
-    // registration order for every implementation, so stats documents
-    // are fabric-agnostic.
+    // Statistics exercised by the figures.
     stats::Scalar messagesSent;
     stats::Scalar setupAttempts;
     stats::Scalar setupFailures;
@@ -214,8 +222,8 @@ class Interconnect : public stats::StatGroup
      */
     bool deliveredDegraded() const { return deliveringDegraded_; }
 
-    /** Circuit resources held at cycle @p now (counter-track sampling). */
-    virtual unsigned
+    /** Links held at cycle @p now (counter-track sampling). */
+    unsigned
     linksHeld(Cycle now) const
     {
         unsigned held = 0;
@@ -257,14 +265,14 @@ class Interconnect : public stats::StatGroup
     }
 
     /**
-     * Resident bytes of the arbitration state (link holds, per-source
-     * FIFO heads, occupancy bitmaps, fault vectors, the message pool),
-     * for the scaling bench's per-component memory audit. Subclasses
-     * add their path tables. The pool is counted whole: every message
-     * this fabric allocated stays pooled for reuse, so its size is
-     * the run's peak of queued plus in-flight messages.
+     * Resident bytes of the fabric (link holds, per-source FIFO heads,
+     * occupancy bitmaps, fault vectors, the message pool, the path
+     * tables), for the scaling bench's per-component memory audit.
+     * The pool is counted whole: every message this fabric allocated
+     * stays pooled for reuse, so its size is the run's peak of queued
+     * plus in-flight messages.
      */
-    virtual std::size_t
+    std::size_t
     memoryBytes() const
     {
         std::size_t bytes =
@@ -276,7 +284,12 @@ class Interconnect : public stats::StatGroup
             linkDeadPermanent_.capacity() * sizeof(std::uint8_t) +
             meshLinkFree_.capacity() * sizeof(Cycle) +
             messages_.capacity() * sizeof(std::unique_ptr<Message>) +
-            messages_.size() * sizeof(Message);
+            messages_.size() * sizeof(Message) +
+            pathOffset_.capacity() * sizeof(std::uint32_t) +
+            pathLinks_.capacity() * sizeof(std::uint32_t) +
+            pairDegraded_.capacity() * sizeof(std::uint8_t) +
+            scratch_[0].capacity() * sizeof(std::uint32_t) +
+            scratch_[1].capacity() * sizeof(std::uint32_t);
         if (grantWait_)
             bytes += grantWait_->size() * sizeof(sim::LatencyHistogram);
         return bytes;
@@ -285,7 +298,7 @@ class Interconnect : public stats::StatGroup
     /** Messages this fabric ever allocated (test hook). */
     std::size_t allocatedMessages() const { return messages_.size(); }
 
-  protected:
+  private:
     struct Request
     {
         CoreId src;
@@ -333,19 +346,21 @@ class Interconnect : public stats::StatGroup
     };
 
     /**
-     * Try to reserve every resource of @p req's path(s): deny-counting,
-     * fault checks and the hold-until bookkeeping live here. Must be
-     * all-or-nothing.
+     * Try to reserve every link of @p req's path(s): deny-counting,
+     * fault checks and the hold-until bookkeeping live here.
+     * All-or-nothing.
      */
-    virtual bool tryAcquire(const Request &req, Cycle now) = 0;
+    bool tryAcquire(const Request &req, Cycle now);
 
     /** Route-around left no circuit path for this pair: skip setup and
      * serve it from the fallback mesh. Only consulted with faults. */
-    virtual bool pairUnreachable(const Request &req) const = 0;
-
-    /** A link just died permanently (already marked in
-     * linkDeadPermanent_): recompute paths around it. */
-    virtual void onPermanentLinkDeath(std::uint32_t link) = 0;
+    bool
+    pairUnreachable(const Request &req) const
+    {
+        return pairDegraded_[pairIndex(req.src, req.dst)] ||
+               (req.roundTrip &&
+                pairDegraded_[pairIndex(req.dst, req.src)]);
+    }
 
     /** Run one arbitration round for the current cycle. */
     void arbitrate();
@@ -407,6 +422,46 @@ class Interconnect : public stats::StatGroup
         return static_cast<std::size_t>(src) * topo_.numTiles() + dst;
     }
 
+    /**
+     * Flattened link ids of the current path src -> dst from the
+     * precomputed table. Matches GridTopology::xyPath link-for-link
+     * until route-around rewrites the pair.
+     */
+    std::span<const std::uint32_t>
+    tableLinks(CoreId src, CoreId dst) const
+    {
+        std::size_t pair = pairIndex(src, dst);
+        return {pathLinks_.data() + pathOffset_[pair],
+                pathOffset_[pair + 1] - pathOffset_[pair]};
+    }
+
+    /**
+     * The path src -> dst without per-attempt allocation: a table span
+     * when the table exists, otherwise the XY path filled into scratch
+     * buffer @p slot (0 forward, 1 reverse -- both directions of a
+     * round trip must be live at once).
+     */
+    std::span<const std::uint32_t>
+    pathSpan(CoreId src, CoreId dst, unsigned slot)
+    {
+        if (!pathOffset_.empty())
+            return tableLinks(src, dst);
+        scratch_[slot].clear();
+        topo_.xyLinksInto(src, dst, scratch_[slot]);
+        return scratch_[slot];
+    }
+
+    /** Build pathLinks_/pathOffset_ from the topology (ctor only). */
+    void buildPathTable();
+
+    /**
+     * Recompute the path table around permanently dead links. Only
+     * pairs whose current path crosses a dead link change (BFS over
+     * the surviving links); pairs with no surviving path at all are
+     * marked degraded and served by the fallback mesh from then on.
+     */
+    void rebuildPaths();
+
     EventQueue &queue_;
     noc::GridTopology topo_;
     FabricConfig config_;
@@ -435,6 +490,16 @@ class Interconnect : public stats::StatGroup
     /** Messages ready for reuse, linked through Message::next. */
     Message *freeMessages_ = nullptr;
 
+    /**
+     * Precomputed XY paths for all (src, dst) pairs: the links of
+     * pair p live at pathLinks_[pathOffset_[p] .. pathOffset_[p+1]).
+     * Both empty above kPathTableMaxTiles (without faults).
+     */
+    std::vector<std::uint32_t> pathOffset_;
+    std::vector<std::uint32_t> pathLinks_;
+    /** On-demand path buffers (tables disabled): forward / reverse. */
+    std::vector<std::uint32_t> scratch_[2];
+
     // Fault machinery; allocated only when config_.faults is a
     // non-empty plan, so the guards below reduce to one null check.
     /** Seeded draw source for grant loss (Stream::Fabric). */
@@ -443,6 +508,8 @@ class Interconnect : public stats::StatGroup
      * invalidCycle for permanently dead links. */
     std::vector<Cycle> linkFaultyUntil_;
     std::vector<std::uint8_t> linkDeadPermanent_;
+    /** Per (src, dst) pair: no circuit path survives route-around. */
+    std::vector<std::uint8_t> pairDegraded_;
     /** Per-link next-free cycle of the fallback mesh (QueuedMesh
      * model: router + wire cycle per hop, one flit per link-cycle). */
     std::vector<Cycle> meshLinkFree_;
@@ -456,28 +523,10 @@ class Interconnect : public stats::StatGroup
 };
 
 /**
- * Resolve the hierarchical cluster geometry of @p config against
- * @p topo: auto (0) picks near-square clusters of up to 4x4 tiles.
- * fatal()s on geometry OrgConfig::validate() would have rejected.
- */
-void resolveClusterGeometry(const FabricConfig &config,
-                            const noc::GridTopology &topo,
-                            unsigned &clusterWidth,
-                            unsigned &clusterHeight);
-
-/**
- * Single construction point for fabrics (org_factory.cc): builds the
- * implementation FabricConfig::kind selects.
- */
-std::unique_ptr<Interconnect>
-makeInterconnect(const std::string &name, EventQueue &queue,
-                 const noc::GridTopology &topo, const FabricConfig &config,
-                 stats::StatGroup *parent = nullptr);
-
-/**
- * Convenience overload deriving the FabricConfig from an organization
- * config. @p config must outlive the fabric (the fault plan is
- * referenced, not copied).
+ * The fabric of a NOCSTAR organization, configured from @p config
+ * (hpcMax, priorityEpoch, ideal mode for NocstarIdeal, the fault plan
+ * and grant-wait recording). @p config must outlive the fabric (the
+ * fault plan is referenced, not copied).
  */
 std::unique_ptr<Interconnect>
 makeInterconnect(const std::string &name, EventQueue &queue,

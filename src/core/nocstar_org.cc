@@ -18,31 +18,9 @@ NocstarOrg::NocstarOrg(const OrgConfig &config, OrgContext context,
 {
     // config_ (the base class's stable copy of the plan, not the
     // caller's argument) keeps the referenced fault plan alive for the
-    // fabric's lifetime. Construction of the concrete fabric kind is
-    // org_factory.cc's job.
+    // fabric's lifetime.
     fabric_ = makeInterconnect("fabric", *ctx_.queue, topo_, config_,
                                this);
-
-    if (config.sliceMapping == SliceMapping::ClusterLocal) {
-        // Consecutive interleave indices fill one cluster (row-major
-        // inside it) before moving to the next, so runs of hot pages
-        // stay behind one crossbar instead of striping the chip.
-        FabricConfig geom;
-        geom.clusterWidth = config.clusterWidth;
-        geom.clusterHeight = config.clusterHeight;
-        unsigned cw = 0, ch = 0;
-        resolveClusterGeometry(geom, topo_, cw, ch);
-        unsigned perCluster = cw * ch;
-        homeOf_.resize(config.numCores);
-        for (unsigned i = 0; i < config.numCores; ++i) {
-            unsigned cluster = i / perCluster;
-            unsigned within = i % perCluster;
-            noc::Coord cc{cluster % (topo_.width() / cw),
-                          cluster / (topo_.width() / cw)};
-            homeOf_[i] = topo_.tileAt({cc.x * cw + within % cw,
-                                       cc.y * ch + within / cw});
-        }
-    }
 
     std::uint32_t entries = config.sliceEntriesFor();
     for (unsigned i = 0; i < config.numCores; ++i) {

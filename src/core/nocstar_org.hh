@@ -48,18 +48,12 @@ class NocstarOrg : public TlbOrganization
         fabric_->syncFaultStats(now);
     }
 
-    /**
-     * Home slice: 4 KB-granule interleaving (same as distributed),
-     * optionally remapped cluster-locally (SliceMapping::ClusterLocal)
-     * so consecutive interleave indices fill one crossbar cluster
-     * before striping to the next.
-     */
+    /** Home slice: 4 KB-granule interleaving (same as distributed). */
     CoreId
     sliceOf(Addr vaddr) const
     {
-        auto idx = static_cast<CoreId>(
+        return static_cast<CoreId>(
             (vaddr >> pageShift(PageSize::FourKB)) % config_.numCores);
-        return homeOf_.empty() ? idx : homeOf_[idx];
     }
 
     tlb::SetAssocTlb &sliceArray(CoreId slice)
@@ -118,8 +112,6 @@ class NocstarOrg : public TlbOrganization
     std::unique_ptr<Interconnect> fabric_;
     std::vector<std::unique_ptr<tlb::SetAssocTlb>> slices_;
     std::vector<Cycle> leaderNextFree_;
-    /** Interleave index -> home tile (empty for the identity map). */
-    std::vector<CoreId> homeOf_;
     Cycle sliceLatency_;
 };
 

@@ -1,16 +1,10 @@
 /**
  * @file
- * Organization and interconnect factory: the single construction point
- * for (organization, fabric) pairs. Only this file names the concrete
- * fabric classes; everything else sees core::Interconnect.
+ * Organization factory: the single construction point for the
+ * organizations of Fig 1 / Table II.
  */
 
-#include <algorithm>
-
 #include "core/distributed_org.hh"
-#include "core/fabric.hh"
-#include "core/hier_fabric.hh"
-#include "core/interconnect.hh"
 #include "core/monolithic_org.hh"
 #include "core/nocstar_org.hh"
 #include "core/organization.hh"
@@ -18,61 +12,6 @@
 
 namespace nocstar::core
 {
-
-void
-resolveClusterGeometry(const FabricConfig &config,
-                       const noc::GridTopology &topo,
-                       unsigned &clusterWidth, unsigned &clusterHeight)
-{
-    clusterWidth = config.clusterWidth;
-    clusterHeight = config.clusterHeight;
-    if (clusterWidth == 0 && clusterHeight == 0) {
-        // Auto geometry: near-square clusters of up to 4x4 tiles. Both
-        // mesh dimensions are powers of two (validate() enforces it for
-        // the hierarchical fabric), so min(4, dim) always divides.
-        clusterWidth = std::min(4u, topo.width());
-        clusterHeight = std::min(4u, topo.height());
-    }
-    if (clusterWidth == 0 || clusterHeight == 0 ||
-        topo.width() % clusterWidth != 0 ||
-        topo.height() % clusterHeight != 0)
-        fatal("cluster geometry ", clusterWidth, "x", clusterHeight,
-              " does not tile the ", topo.width(), "x", topo.height(),
-              " mesh");
-}
-
-std::unique_ptr<Interconnect>
-makeInterconnect(const std::string &name, EventQueue &queue,
-                 const noc::GridTopology &topo,
-                 const FabricConfig &config, stats::StatGroup *parent)
-{
-    switch (config.kind) {
-      case FabricKind::Flat:
-        return std::make_unique<NocstarFabric>(name, queue, topo,
-                                               config, parent);
-      case FabricKind::Hierarchical:
-        return std::make_unique<HierFabric>(name, queue, topo, config,
-                                            parent);
-    }
-    fatal("unknown fabric kind");
-}
-
-std::unique_ptr<Interconnect>
-makeInterconnect(const std::string &name, EventQueue &queue,
-                 const noc::GridTopology &topo, const OrgConfig &config,
-                 stats::StatGroup *parent)
-{
-    FabricConfig fabric;
-    fabric.kind = config.fabricKind;
-    fabric.hpcMax = config.hpcMax;
-    fabric.priorityEpoch = config.priorityEpoch;
-    fabric.ideal = config.kind == OrgKind::NocstarIdeal;
-    fabric.faults = config.faults.empty() ? nullptr : &config.faults;
-    fabric.clusterWidth = config.clusterWidth;
-    fabric.clusterHeight = config.clusterHeight;
-    fabric.recordGrantWait = config.recordGrantWait;
-    return makeInterconnect(name, queue, topo, fabric, parent);
-}
 
 std::unique_ptr<TlbOrganization>
 makeOrganization(const OrgConfig &config, OrgContext context,

@@ -5,8 +5,7 @@
 
 #include "core/organization.hh"
 
-#include <bit>
-#include <stdexcept>
+#include <algorithm>
 
 namespace nocstar::core
 {
@@ -44,62 +43,6 @@ bool
 isShared(OrgKind kind)
 {
     return kind != OrgKind::Private;
-}
-
-const char *
-fabricKindName(FabricKind kind)
-{
-    switch (kind) {
-      case FabricKind::Flat: return "flat";
-      case FabricKind::Hierarchical: return "hier";
-    }
-    return "?";
-}
-
-std::string
-parseFabricSpec(const std::string &spec, OrgConfig &config)
-{
-    if (spec == "flat") {
-        config.fabricKind = FabricKind::Flat;
-        config.clusterWidth = 0;
-        config.clusterHeight = 0;
-        return "";
-    }
-    if (spec == "hier") {
-        config.fabricKind = FabricKind::Hierarchical;
-        config.clusterWidth = 0;
-        config.clusterHeight = 0;
-        return "";
-    }
-    if (spec.rfind("hier:", 0) == 0) {
-        std::string geometry = spec.substr(5);
-        std::size_t x = geometry.find('x');
-        unsigned w = 0, h = 0;
-        try {
-            std::size_t used = 0;
-            if (x == std::string::npos || x == 0 ||
-                x + 1 >= geometry.size())
-                throw std::invalid_argument("shape");
-            w = std::stoul(geometry.substr(0, x), &used);
-            if (used != x)
-                throw std::invalid_argument("width");
-            h = std::stoul(geometry.substr(x + 1), &used);
-            if (used != geometry.size() - x - 1)
-                throw std::invalid_argument("height");
-        } catch (const std::exception &) {
-            return strCat("bad cluster geometry '", geometry,
-                          "' (expected WxH, e.g. hier:4x4)");
-        }
-        if (w == 0 || h == 0)
-            return strCat("bad cluster geometry '", geometry,
-                          "': dimensions must be >= 1");
-        config.fabricKind = FabricKind::Hierarchical;
-        config.clusterWidth = w;
-        config.clusterHeight = h;
-        return "";
-    }
-    return strCat("unknown fabric '", spec,
-                  "' (expected flat, hier or hier:WxH)");
 }
 
 std::vector<std::string>
@@ -147,24 +90,6 @@ OrgConfig::validate() const
                                     ")"));
     }
 
-    bool hier = fabricKind == FabricKind::Hierarchical;
-    if (hier && !nocstar)
-        errors.push_back(strCat(
-            "the hierarchical fabric needs a NOCSTAR organization "
-            "(kind is ", orgKindName(kind), ")"));
-    if (!hier && (clusterWidth != 0 || clusterHeight != 0))
-        errors.push_back(
-            "cluster geometry is set but the fabric is flat "
-            "(did you mean fabricKind = Hierarchical / --fabric=hier?)");
-    if (!hier && sliceMapping == SliceMapping::ClusterLocal)
-        errors.push_back(
-            "cluster-local slice mapping needs the hierarchical fabric");
-    if ((clusterWidth == 0) != (clusterHeight == 0))
-        errors.push_back(strCat(
-            "clusterWidth (", clusterWidth, ") and clusterHeight (",
-            clusterHeight, ") must be set together (0x0 picks the "
-            "geometry automatically)"));
-
     if (isShared(kind) && numCores > 0) {
         // Every interconnect model assumes the cores tile a full
         // W x H mesh (power-of-two friendly; 24 = 8x3 is also fine).
@@ -174,32 +99,6 @@ OrgConfig::validate() const
                 strCat("numCores (", numCores, ") does not tile a "
                        "full mesh (nearest grid is ", topo.width(),
                        "x", topo.height(), ")"));
-        else if (hier && nocstar) {
-            // The cluster grid math assumes power-of-two mesh sides, so
-            // every legal cluster size divides evenly.
-            if (!std::has_single_bit(topo.width()) ||
-                !std::has_single_bit(topo.height()))
-                errors.push_back(strCat(
-                    "the hierarchical fabric needs power-of-two mesh "
-                    "dimensions, but ", numCores, " cores tile ",
-                    topo.width(), "x", topo.height(),
-                    " (try ", topo.width() * topo.width(),
-                    " or ", std::bit_floor(numCores), " cores)"));
-            else if (clusterWidth != 0 && clusterHeight != 0) {
-                if (topo.width() % clusterWidth != 0)
-                    errors.push_back(strCat(
-                        "clusterWidth (", clusterWidth,
-                        ") must divide the mesh width (", topo.width(),
-                        "); any power of two up to ", topo.width(),
-                        " works"));
-                if (topo.height() % clusterHeight != 0)
-                    errors.push_back(strCat(
-                        "clusterHeight (", clusterHeight,
-                        ") must divide the mesh height (",
-                        topo.height(), "); any power of two up to ",
-                        topo.height(), " works"));
-            }
-        }
         for (std::string &e : faults.validate(topo.linkIndexSpace()))
             errors.push_back("faults: " + e);
     } else {

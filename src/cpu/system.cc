@@ -957,9 +957,6 @@ System::configFingerprint() const
     put(org.l2Assoc);
     put(org.nocstarSliceEntries);
     put(org.banks);
-    put(static_cast<std::uint64_t>(org.sliceMapping));
-    put(org.clusterWidth);
-    put(org.clusterHeight);
     put(static_cast<std::uint64_t>(org.ptwPlacement));
     put(org.prefetchDistance);
 

@@ -77,7 +77,20 @@ findWorkload(const std::string &name)
         if (spec.name == name)
             return spec;
     }
-    fatal("unknown workload '", name, "'");
+    fatal(unknownWorkloadError(name));
+}
+
+std::string
+unknownWorkloadError(const std::string &name)
+{
+    std::string known;
+    for (const WorkloadSpec &spec : paperWorkloads()) {
+        if (spec.name == name)
+            return "";
+        known += (known.empty() ? "" : ", ") + spec.name;
+    }
+    return "unknown workload '" + name + "' (expected one of: " + known +
+           ")";
 }
 
 WorkloadSpec

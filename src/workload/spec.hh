@@ -68,6 +68,12 @@ const std::vector<WorkloadSpec> &paperWorkloads();
 /** Find a paper workload by name; fatal() if unknown. */
 const WorkloadSpec &findWorkload(const std::string &name);
 
+/**
+ * Empty when @p name is a paper workload, otherwise the error naming
+ * it and listing the valid names (for command-line checks).
+ */
+std::string unknownWorkloadError(const std::string &name);
+
 /** A small, well-behaved spec for unit tests and the quickstart. */
 WorkloadSpec testWorkload();
 

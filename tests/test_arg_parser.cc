@@ -316,47 +316,34 @@ TEST(RunOptions, MalformedValuesAreRejected)
 {
     for (const char *arg :
          {"--sample=8", "--sample=8,x", "--sample=1,2,3,4,5",
-          "--lat-hist=bogus", "--fabric=mesh", "--progress=-1"}) {
+          "--lat-hist=bogus", "--progress=-1"}) {
         RunParser run;
         EXPECT_FALSE(run.parse({arg})) << arg;
     }
 }
 
-TEST(RunOptions, FabricSkipsOrganizationsWithoutOne)
-{
-    RunParser run;
-    ASSERT_TRUE(run.parse({"--fabric", "hier"}));
-    cpu::SystemConfig config;
-    config.org.kind = core::OrgKind::Private;
-    EXPECT_EQ(run.options.apply(config).org.fabricKind,
-              core::FabricKind::Flat);
-    config.org.kind = core::OrgKind::Nocstar;
-    EXPECT_EQ(run.options.apply(config).org.fabricKind,
-              core::FabricKind::Hierarchical);
-}
-
 TEST(RunOptions, SweptFlagIsRefused)
 {
-    // Valid values, so the refusal is the only error.
+    // A valid plan, so the refusal is the only error.
     const std::string plan = ::testing::TempDir() + "nocstar_swept.plan";
     std::ofstream(plan) << "grant-loss 0.01\n";
-    struct Swept
-    {
-        const char *flag, *axis, *value;
-    };
-    for (const Swept &s : {Swept{"fabric", "the fabric", "hier"},
-                           Swept{"fault-plan", "the fault plan",
-                                 plan.c_str()}}) {
-        RunParser with_flag, without_flag;
-        rejectSweptFlag(with_flag.parser, s.flag, s.axis);
-        rejectSweptFlag(without_flag.parser, s.flag, s.axis);
-        const std::string arg = std::string("--") + s.flag;
-        EXPECT_FALSE(with_flag.parse({arg.c_str(), s.value})) << arg;
-        ASSERT_EQ(with_flag.parser.errors().size(), 1u) << arg;
-        EXPECT_NE(with_flag.parser.errors()[0].find(arg),
-                  std::string::npos);
-        EXPECT_TRUE(without_flag.parse({"--lat-hist"})) << arg;
-    }
+    RunParser with_flag, without_flag;
+    rejectSweptFlag(with_flag.parser, "fault-plan", "the fault plan");
+    rejectSweptFlag(without_flag.parser, "fault-plan", "the fault plan");
+    EXPECT_FALSE(with_flag.parse({"--fault-plan", plan.c_str()}));
+    ASSERT_EQ(with_flag.parser.errors().size(), 1u);
+    EXPECT_NE(with_flag.parser.errors()[0].find("--fault-plan"),
+              std::string::npos);
+    EXPECT_TRUE(without_flag.parse({"--lat-hist"}));
+}
+
+TEST(ExitOnFatal, BadInputExitsTwoAndBugsStillThrow)
+{
+    EXPECT_EQ(exitOnFatal("t", [] { return 7; }), 7);
+    EXPECT_EXIT(exitOnFatal("t", []() -> int { fatal("no such file"); }),
+                ::testing::ExitedWithCode(2), "t: fatal: no such file");
+    EXPECT_THROW(exitOnFatal("t", []() -> int { panic("bug"); }),
+                 PanicError);
 }
 
 TEST(SpeedupVsPrivate, SampledRunsExitNamingSample)

@@ -134,88 +134,6 @@ TEST(OrgValidate, ChecksFaultPlanAgainstTopology)
     EXPECT_TRUE(mentions(config.validate(), "faults:"));
 }
 
-TEST(OrgValidate, HierFabricGeometryRules)
-{
-    // The hierarchical fabric needs a NOCSTAR organization.
-    OrgConfig config;
-    config.kind = OrgKind::Distributed;
-    config.numCores = 16;
-    config.fabricKind = FabricKind::Hierarchical;
-    EXPECT_TRUE(mentions(config.validate(), "NOCSTAR organization"));
-
-    // Non-power-of-two mesh dimensions are rejected with a hint.
-    config = OrgConfig{};
-    config.kind = OrgKind::Nocstar;
-    config.numCores = 24; // tiles 8x3
-    config.fabricKind = FabricKind::Hierarchical;
-    EXPECT_TRUE(mentions(config.validate(), "power-of-two"));
-    EXPECT_TRUE(mentions(config.validate(), "try"));
-
-    // Cluster dimensions must divide the mesh.
-    config.numCores = 64;
-    config.clusterWidth = 3;
-    config.clusterHeight = 4;
-    EXPECT_TRUE(mentions(config.validate(), "must divide"));
-
-    // Either both cluster dimensions or neither.
-    config.clusterWidth = 4;
-    config.clusterHeight = 0;
-    EXPECT_TRUE(mentions(config.validate(), "set together"));
-
-    // A valid hierarchical geometry passes.
-    config.clusterHeight = 4;
-    EXPECT_TRUE(config.validate().empty())
-        << joinConfigErrors(config.validate());
-}
-
-TEST(OrgValidate, FabricKnobsNeedTheRightFabric)
-{
-    // Cluster geometry on the flat fabric is a contradiction.
-    OrgConfig config;
-    config.kind = OrgKind::Nocstar;
-    config.numCores = 16;
-    config.clusterWidth = 2;
-    config.clusterHeight = 2;
-    EXPECT_TRUE(mentions(config.validate(), "fabric is flat"));
-
-    // Cluster-local slice placement needs the hierarchy.
-    config = OrgConfig{};
-    config.kind = OrgKind::Nocstar;
-    config.numCores = 16;
-    config.sliceMapping = SliceMapping::ClusterLocal;
-    EXPECT_TRUE(
-        mentions(config.validate(), "needs the hierarchical fabric"));
-}
-
-TEST(OrgValidate, ParseFabricSpec)
-{
-    OrgConfig config;
-    EXPECT_TRUE(parseFabricSpec("flat", config).empty());
-    EXPECT_EQ(config.fabricKind, FabricKind::Flat);
-
-    EXPECT_TRUE(parseFabricSpec("hier", config).empty());
-    EXPECT_EQ(config.fabricKind, FabricKind::Hierarchical);
-    EXPECT_EQ(config.clusterWidth, 0u); // auto geometry
-    EXPECT_EQ(config.clusterHeight, 0u);
-
-    EXPECT_TRUE(parseFabricSpec("hier:8x4", config).empty());
-    EXPECT_EQ(config.fabricKind, FabricKind::Hierarchical);
-    EXPECT_EQ(config.clusterWidth, 8u);
-    EXPECT_EQ(config.clusterHeight, 4u);
-
-    // Selecting flat again clears the stale geometry.
-    EXPECT_TRUE(parseFabricSpec("flat", config).empty());
-    EXPECT_EQ(config.clusterWidth, 0u);
-
-    EXPECT_FALSE(parseFabricSpec("mesh", config).empty());
-    EXPECT_FALSE(parseFabricSpec("hier:", config).empty());
-    EXPECT_FALSE(parseFabricSpec("hier:4", config).empty());
-    EXPECT_FALSE(parseFabricSpec("hier:ax4", config).empty());
-    EXPECT_FALSE(parseFabricSpec("hier:4xb", config).empty());
-    EXPECT_FALSE(parseFabricSpec("hier:0x4", config).empty());
-    EXPECT_FALSE(parseFabricSpec("hier:4x4x4", config).empty());
-}
-
 TEST(OrgValidate, FactoryRejectsInvalidConfig)
 {
     OrgConfig config;

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "core/interconnect.hh"
@@ -26,13 +25,11 @@ struct FabricHarness
     EventQueue queue;
     stats::StatGroup root{"root"};
     noc::GridTopology topo;
-    std::unique_ptr<Interconnect> fabricPtr;
-    Interconnect &fabric;
+    Interconnect fabric;
 
     explicit FabricHarness(unsigned cores = 16, FabricConfig cfg = {})
         : topo(noc::GridTopology::forCores(cores)),
-          fabricPtr(makeInterconnect("fabric", queue, topo, cfg, &root)),
-          fabric(*fabricPtr)
+          fabric("fabric", queue, topo, cfg, &root)
     {}
 };
 
@@ -257,8 +254,7 @@ TEST(Fabric, ZeroHpcMaxIsFatal)
     noc::GridTopology topo(4, 4);
     FabricConfig cfg;
     cfg.hpcMax = 0;
-    EXPECT_THROW(makeInterconnect("f", queue, topo, cfg, &root),
-                 FatalError);
+    EXPECT_THROW(Interconnect("f", queue, topo, cfg, &root), FatalError);
 }
 
 /** Property: under random traffic, every message is delivered exactly

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
 #include <string>
 
@@ -27,13 +26,11 @@ struct FabricHarness
     EventQueue queue;
     stats::StatGroup root{"root"};
     noc::GridTopology topo;
-    std::unique_ptr<Interconnect> fabricPtr;
-    Interconnect &fabric;
+    Interconnect fabric;
 
     explicit FabricHarness(unsigned cores = 16, FabricConfig cfg = {})
         : topo(noc::GridTopology::forCores(cores)),
-          fabricPtr(makeInterconnect("fabric", queue, topo, cfg, &root)),
-          fabric(*fabricPtr)
+          fabric("fabric", queue, topo, cfg, &root)
     {}
 };
 

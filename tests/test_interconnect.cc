@@ -1,21 +1,17 @@
 /**
  * @file
- * Tests of the Interconnect seam: the flat fabric behind the interface
- * must be indistinguishable from the pre-seam implementation (golden
- * RunResult identity across every organization), and the hierarchical
- * crossbar-of-clusters fabric must degenerate correctly at both ends
- * of its cluster-size range (whole-chip cluster = pure crossbar,
- * 1x1 clusters = the flat mesh), reproduce its golden whole-system
- * result, and route around dead inter-cluster links.
+ * Tests of the NOCSTAR interconnect as organizations and the system
+ * use it: golden RunResult identity across every organization,
+ * on-demand paths past the path-table cap, continuations built and
+ * run in place inside pooled messages, teardown with messages in
+ * flight, and the opt-in grant-wait histograms.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <vector>
 
-#include "core/hier_fabric.hh"
 #include "core/interconnect.hh"
 #include "cpu/system.hh"
 #include "sim/random.hh"
@@ -34,32 +30,14 @@ struct InterconnectHarness
     EventQueue queue;
     stats::StatGroup root{"root"};
     noc::GridTopology topo;
-    std::unique_ptr<Interconnect> fabricPtr;
-    Interconnect &fabric;
+    Interconnect fabric;
 
     explicit InterconnectHarness(unsigned cores = 16,
                                  FabricConfig cfg = {})
         : topo(noc::GridTopology::forCores(cores)),
-          fabricPtr(makeInterconnect("fabric", queue, topo, cfg, &root)),
-          fabric(*fabricPtr)
+          fabric("fabric", queue, topo, cfg, &root)
     {}
-
-    HierFabric &
-    hier()
-    {
-        return dynamic_cast<HierFabric &>(fabric);
-    }
 };
-
-FabricConfig
-hierConfig(unsigned cw, unsigned ch)
-{
-    FabricConfig cfg;
-    cfg.kind = FabricKind::Hierarchical;
-    cfg.clusterWidth = cw;
-    cfg.clusterHeight = ch;
-    return cfg;
-}
 
 /** NOCSTAR system config mirroring bench::makeConfig. */
 cpu::SystemConfig
@@ -81,7 +59,7 @@ paperConfig(core::OrgKind kind, unsigned cores)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Flat fabric behind the seam: golden identity.
+// Whole-system golden identity.
 // ---------------------------------------------------------------------
 
 /**
@@ -124,25 +102,6 @@ TEST(InterconnectSeam, FlatRunResultsMatchPreSeamGoldens)
         EXPECT_EQ(r.l2Misses, g.l2Misses) << orgKindName(g.kind);
         EXPECT_EQ(r.walks, g.walks) << orgKindName(g.kind);
     }
-}
-
-/**
- * The hierarchical fabric's whole-system golden, captured with
- * paperConfig(Nocstar, 64), the hierarchical fabric at its automatic
- * cluster geometry, and run(1000). Any change to these values is a
- * change to the hierarchical fabric's simulated behaviour.
- */
-TEST(InterconnectSeam, HierRunResultMatchesGolden)
-{
-    cpu::SystemConfig config = paperConfig(core::OrgKind::Nocstar, 64);
-    config.org.fabricKind = core::FabricKind::Hierarchical;
-    cpu::System system(config);
-    cpu::RunResult r = system.run(1000);
-    EXPECT_EQ(r.cycles, 13544u);
-    EXPECT_DOUBLE_EQ(r.meanCycles, 6917.28125);
-    EXPECT_EQ(r.l2Hits, 7857u);
-    EXPECT_EQ(r.l2Misses, 104u);
-    EXPECT_EQ(r.walks, 104u);
 }
 
 TEST(InterconnectSeam, OnDemandPathsMatchTopologyPastTableCap)
@@ -301,7 +260,7 @@ TEST(InterconnectLifetime, TeardownWithQueuedAndInFlightMessages)
         auto queue = std::make_unique<EventQueue>();
         FabricConfig cfg;
         cfg.hpcMax = 1; // 0 -> 15 takes 6 traversal cycles
-        std::unique_ptr<Interconnect> fabric = makeInterconnect(
+        auto fabric = std::make_unique<Interconnect>(
             "fabric", *queue, noc::GridTopology::forCores(16), cfg);
         for (int i = 0; i < 6; ++i)
             fabric->send(0, 15, 5, MoveCounter{&log});
@@ -373,182 +332,7 @@ TEST(InterconnectSeam, GrantWaitHistogramsAreOptIn)
     EXPECT_EQ(w1->maxValue(), 1u);
 }
 
-// ---------------------------------------------------------------------
-// Hierarchical fabric: degeneracies.
-// ---------------------------------------------------------------------
-
-TEST(HierFabric, WholeChipClusterDegeneratesToCrossbar)
-{
-    // One 4x4 cluster covering the whole 16-tile chip: every remote
-    // pair is one crossbar hop regardless of Manhattan distance, even
-    // with HPCmax 1 (which would make the far corner 6 mesh cycles).
-    FabricConfig cfg = hierConfig(4, 4);
-    cfg.hpcMax = 1;
-    InterconnectHarness h(16, cfg);
-    EXPECT_EQ(h.hier().numClusters(), 1u);
-    for (CoreId src = 0; src < 16; ++src)
-        for (CoreId dst = 0; dst < 16; ++dst) {
-            EXPECT_EQ(h.fabric.traversal(src, dst),
-                      src == dst ? 0u : 1u);
-            EXPECT_EQ(h.fabric.pathHops(src, dst),
-                      src == dst ? 0u : 1u);
-        }
-    Cycle delivered = invalidCycle;
-    h.fabric.send(0, 15, 10, [&](Cycle at) { delivered = at; });
-    h.queue.run();
-    EXPECT_EQ(delivered, 11u); // setup at 10, one crossbar cycle
-    EXPECT_EQ(h.hier().clusterLocalMessages.value(), 1.0);
-    EXPECT_EQ(h.hier().interClusterMessages.value(), 0.0);
-}
-
-TEST(HierFabric, CrossbarOutputPortIsTheContendedResource)
-{
-    InterconnectHarness h(16, hierConfig(4, 4));
-    std::map<int, Cycle> log;
-    // Two same-cycle messages into tile 0: one crossbar output port,
-    // so the lower-priority source retries.
-    h.fabric.send(1, 0, 5, [&](Cycle at) { log[1] = at; });
-    h.fabric.send(2, 0, 5, [&](Cycle at) { log[2] = at; });
-    h.queue.run();
-    EXPECT_EQ(log[1], 6u);
-    EXPECT_EQ(log[2], 7u);
-    EXPECT_EQ(h.fabric.setupFailures.value(), 1.0);
-    EXPECT_EQ(h.hier().xbarDenies.value(), 1.0);
-    // Disjoint destinations do not contend.
-    std::vector<Cycle> arrivals;
-    h.fabric.send(4, 8, 100, [&](Cycle at) { arrivals.push_back(at); });
-    h.fabric.send(5, 9, 100, [&](Cycle at) { arrivals.push_back(at); });
-    h.queue.run();
-    EXPECT_EQ(arrivals, (std::vector<Cycle>{101, 101}));
-}
-
-TEST(HierFabric, UnitClustersMatchFlatCycleForCycle)
-{
-    // clusterSize == 1 collapses the hierarchy onto the plain mesh:
-    // same link ids, same grant order, same timing, same stats.
-    InterconnectHarness flat(16);
-    InterconnectHarness unit(16, hierConfig(1, 1));
-    EXPECT_EQ(unit.hier().numClusters(), 16u);
-
-    auto drive = [](InterconnectHarness &h) {
-        std::vector<Cycle> arrivals;
-        Random rng(99);
-        for (Cycle t = 0; t < 2000; ++t) {
-            for (CoreId src = 0; src < 16; ++src) {
-                if (rng.uniform() >= 0.15)
-                    continue;
-                CoreId dst = static_cast<CoreId>(rng.below(16));
-                if (dst == src)
-                    continue;
-                h.fabric.send(src, dst, t, [&arrivals](Cycle at) {
-                    arrivals.push_back(at);
-                });
-            }
-        }
-        h.queue.run();
-        return arrivals;
-    };
-    std::vector<Cycle> flatArrivals = drive(flat);
-    std::vector<Cycle> unitArrivals = drive(unit);
-    EXPECT_EQ(flatArrivals, unitArrivals);
-    EXPECT_DOUBLE_EQ(flat.fabric.messagesSent.value(),
-                     unit.fabric.messagesSent.value());
-    EXPECT_DOUBLE_EQ(flat.fabric.setupAttempts.value(),
-                     unit.fabric.setupAttempts.value());
-    EXPECT_DOUBLE_EQ(flat.fabric.setupFailures.value(),
-                     unit.fabric.setupFailures.value());
-    EXPECT_DOUBLE_EQ(flat.fabric.totalNetworkLatency.value(),
-                     unit.fabric.totalNetworkLatency.value());
-    ASSERT_EQ(flat.fabric.linkGrants.size(),
-              unit.fabric.linkGrants.size());
-    for (std::uint32_t l = 0; l < flat.fabric.linkGrants.size(); ++l) {
-        EXPECT_DOUBLE_EQ(flat.fabric.linkGrants[l],
-                         unit.fabric.linkGrants[l])
-            << "link " << l;
-        EXPECT_DOUBLE_EQ(flat.fabric.linkHoldCycles[l],
-                         unit.fabric.linkHoldCycles[l])
-            << "link " << l;
-    }
-    EXPECT_EQ(unit.hier().clusterLocalMessages.value(), 0.0);
-}
-
-TEST(HierFabric, InterClusterTraversalClimbsGateways)
-{
-    // 8x8 mesh in 4x4 clusters -> 2x2 cluster grid. Gateways are the
-    // top-left tiles of each cluster: 0, 4, 32, 36.
-    InterconnectHarness h(64, hierConfig(4, 4));
-    HierFabric &hf = h.hier();
-    EXPECT_EQ(hf.numClusters(), 4u);
-    EXPECT_EQ(hf.gatewayOf(0), 0u);
-    EXPECT_EQ(hf.gatewayOf(1), 4u);
-    EXPECT_EQ(hf.gatewayOf(2), 32u);
-    EXPECT_EQ(hf.gatewayOf(3), 36u);
-    EXPECT_EQ(hf.clusterOf(9), 0u);  // (1,1)
-    EXPECT_EQ(hf.clusterOf(13), 1u); // (5,1)
-
-    // Same cluster: one crossbar hop.
-    EXPECT_EQ(h.fabric.traversal(9, 0), 1u);
-    // Non-gateway -> non-gateway across adjacent clusters: climb (1)
-    // + 1 cluster-mesh hop (HPCmax covers it) + descend (1).
-    EXPECT_EQ(h.fabric.pathHops(9, 13), 3u);
-    EXPECT_EQ(h.fabric.traversal(9, 13), 3u);
-    // Gateway -> gateway skips both crossbar legs.
-    EXPECT_EQ(h.fabric.traversal(0, 4), 1u);
-    // The mesh segment only occupies the inter-cluster link.
-    std::vector<std::uint32_t> links;
-    h.fabric.pathLinksInto(9, 13, links);
-    ASSERT_EQ(links.size(), 1u);
-    EXPECT_EQ(links[0],
-              0u * 4 + static_cast<std::uint32_t>(
-                           noc::Direction::East)); // gateway 0, East
-}
-
-// ---------------------------------------------------------------------
-// Hierarchical fabric: faults.
-// ---------------------------------------------------------------------
-
-TEST(HierFabric, RoutesAroundDeadInterClusterLink)
-{
-    // Kill the East link out of gateway 0 (link id 0) permanently:
-    // cluster 0 -> cluster 1 traffic must re-route over clusters
-    // 2 and 3 without ever being degraded onto the fallback mesh.
-    sim::FaultPlan plan;
-    plan.linkFaults.push_back({0u, 0, 0});
-    FabricConfig cfg = hierConfig(2, 2); // 4x4 mesh -> 2x2 clusters
-    cfg.faults = &plan;
-    InterconnectHarness h(16, cfg);
-
-    Cycle delivered = invalidCycle;
-    h.fabric.send(0, 2, 10, [&](Cycle at) { delivered = at; });
-    h.queue.run();
-    EXPECT_NE(delivered, invalidCycle);
-    EXPECT_EQ(h.fabric.degradedMessages.value(), 0.0);
-    EXPECT_EQ(h.fabric.linkGrants[0], 0.0); // dead link never granted
-    // The detour holds three cluster-mesh links.
-    std::vector<std::uint32_t> links;
-    h.fabric.pathLinksInto(0, 2, links);
-    EXPECT_EQ(links.size(), 3u);
-    for (std::uint32_t l : links)
-        EXPECT_NE(l, 0u);
-}
-
-// ---------------------------------------------------------------------
-// Hierarchical fabric: whole-system runs.
-// ---------------------------------------------------------------------
-
-TEST(HierFabric, ClusterLocalSliceMappingRunsAndStaysInCluster)
-{
-    cpu::SystemConfig config = paperConfig(core::OrgKind::Nocstar, 64);
-    config.org.fabricKind = core::FabricKind::Hierarchical;
-    config.org.sliceMapping = core::SliceMapping::ClusterLocal;
-    EXPECT_TRUE(config.validate().empty());
-    cpu::System system(config);
-    cpu::RunResult r = system.run(500);
-    EXPECT_GT(r.cycles, 0u);
-    EXPECT_EQ(r.l2Hits + r.l2Misses, r.l2Accesses);
-}
-
-TEST(HierFabric, GrantWaitPercentilesReachRunResult)
+TEST(InterconnectSeam, GrantWaitPercentilesReachRunResult)
 {
     cpu::SystemConfig config = paperConfig(core::OrgKind::Nocstar, 16);
     config.org.recordGrantWait = true;

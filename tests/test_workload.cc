@@ -38,6 +38,12 @@ TEST(WorkloadSpec, FindByName)
 {
     EXPECT_EQ(findWorkload("gups").name, "gups");
     EXPECT_THROW(findWorkload("doom"), FatalError);
+    EXPECT_EQ(unknownWorkloadError("gups"), "");
+    // The command-line error names the bad value and every valid one.
+    const std::string error = unknownWorkloadError("doom");
+    EXPECT_NE(error.find("'doom'"), std::string::npos);
+    for (const WorkloadSpec &spec : paperWorkloads())
+        EXPECT_NE(error.find(spec.name), std::string::npos) << spec.name;
 }
 
 TEST(WorkloadSpec, PoorLocalityTrioHasLargerPools)
