@@ -9,8 +9,7 @@
  * translation) once on the private baseline and once on NOCSTAR, then
  * reports simulated accesses per second and writes the machine-
  * readable BENCH_hotpath.json used to track the perf trajectory
- * across PRs. The JSON also carries each run's hit-streak bypass
- * length distribution so the bypass's coverage is observable.
+ * across changes.
  *
  * Usage: bench_hotpath [accesses-per-thread] [--baseline-json FILE]
  * (default 20000 accesses). --baseline-json loads a previously
@@ -38,9 +37,6 @@ struct Measurement
     std::uint64_t accesses = 0;
     Cycle simCycles = 0;
     double wallSeconds = 0;
-    /** Bypass streak-length Distribution, JSON-rendered. */
-    std::string streakJson;
-    double streakMean = 0;
 
     double
     accessesPerSec() const
@@ -62,8 +58,7 @@ measure(SweepHarness &harness, const char *label, core::OrgKind kind,
     // cold branch predictors and allocator warmup.
     harness.runMany({{config, accesses / 4}});
 
-    // The timed run holds its System, so the bypass streak stat can
-    // be read back after run().
+    // The timed run builds its System first, so only run() is timed.
     return exitOnFatal("bench_hotpath", [&] {
         cpu::System system(harness.prepare(config));
         auto start = std::chrono::steady_clock::now();
@@ -77,10 +72,6 @@ measure(SweepHarness &harness, const char *label, core::OrgKind kind,
         m.accesses = result.l1Accesses;
         m.simCycles = result.cycles;
         m.wallSeconds = wall;
-        std::ostringstream streaks;
-        system.bypassStreaks().dumpJson(streaks);
-        m.streakJson = streaks.str();
-        m.streakMean = system.bypassStreaks().mean();
         return m;
     });
 }
@@ -133,9 +124,8 @@ main(int argc, char **argv)
 
     std::printf("Simulator hot-path throughput "
                 "(fig18-style mix, 32 cores, serial)\n");
-    std::printf("%-10s %14s %14s %10s %16s %12s\n", "org", "accesses",
-                "sim cycles", "wall s", "accesses/sec",
-                "mean streak");
+    std::printf("%-10s %14s %14s %10s %16s\n", "org", "accesses",
+                "sim cycles", "wall s", "accesses/sec");
 
     Measurement runs[] = {
         measure(harness, "private", core::OrgKind::Private, accesses),
@@ -143,10 +133,10 @@ main(int argc, char **argv)
     };
     double total_accesses = 0, total_wall = 0;
     for (const Measurement &m : runs) {
-        std::printf("%-10s %14llu %14llu %10.3f %16.0f %12.2f\n",
-                    m.org, static_cast<unsigned long long>(m.accesses),
+        std::printf("%-10s %14llu %14llu %10.3f %16.0f\n", m.org,
+                    static_cast<unsigned long long>(m.accesses),
                     static_cast<unsigned long long>(m.simCycles),
-                    m.wallSeconds, m.accessesPerSec(), m.streakMean);
+                    m.wallSeconds, m.accessesPerSec());
         total_accesses += static_cast<double>(m.accesses);
         total_wall += m.wallSeconds;
     }
@@ -169,14 +159,10 @@ main(int argc, char **argv)
                      "\"nocstar_accesses_per_sec\": %.1f, "
                      "\"aggregate_accesses_per_sec\": %.1f, "
                      "\"total_accesses\": %.0f, "
-                     "\"wall_seconds\": %.6f, "
-                     "\"private_streak_length\": %s, "
-                     "\"nocstar_streak_length\": %s}\n",
+                     "\"wall_seconds\": %.6f}\n",
                      static_cast<unsigned long long>(accesses),
                      runs[0].accessesPerSec(), runs[1].accessesPerSec(),
-                     aggregate, total_accesses, total_wall,
-                     runs[0].streakJson.c_str(),
-                     runs[1].streakJson.c_str());
+                     aggregate, total_accesses, total_wall);
         std::fclose(f);
     } else {
         std::fprintf(stderr, "cannot write BENCH_hotpath.json\n");

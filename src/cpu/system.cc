@@ -400,80 +400,63 @@ void
 System::step(std::size_t thread_index)
 {
     HwThread &thread = threads_[thread_index];
-    Cycle now = queue_.curCycle();
-    std::uint64_t streak = 0;
+    const Cycle now = queue_.curCycle();
+    // One sample, always 0, per dispatch (see bypassStreaks()).
+    bypassStreaks_.sample(0);
 
-    // Hit-streak bypass: after an L1 hit the only pending work of this
-    // thread is its own next step. When the queue is quiet until that
-    // cycle (no event, and no stale overflow record, anywhere in the
-    // window -- so the step event we would schedule is exactly the
-    // event the wheel would dispatch next), executing it inline and
-    // advancing the clock directly is schedule-identical; see
-    // DESIGN.md. Any L1 miss, exhausted quota or intervening event
-    // falls back to the queue.
-    for (;;) {
-        if (thread.accessesDone >= thread.quota) {
-            if (!thread.finished) {
-                thread.finished = true;
-                thread.finishedAt = now;
-                --unfinished_;
-            }
-            break;
+    if (thread.accessesDone >= thread.quota) {
+        if (!thread.finished) {
+            thread.finished = true;
+            thread.finishedAt = now;
+            --unfinished_;
         }
-        ++thread.accessesDone;
-
-        Addr vaddr = nextAddress(thread);
-        mem::Translation t = pageTable_->translate(thread.ctx, vaddr);
-        PageNum vpn = pageNumber(vaddr, t.size);
-
-        ++l1Accesses_;
-        energy_.addL1Lookup();
-        const tlb::TlbEntry *l1_hit =
-            l1s_[thread.core]->lookup(thread.ctx, vpn, t.size);
-
-        if (!l1_hit) {
-            ++l1Misses_;
-            TRACE(System, "thread ", thread_index, " core ", thread.core,
-                  " L1 miss vaddr 0x", std::hex, vaddr, std::dec);
-            org_->translate(
-                thread.core, thread.ctx, vaddr, now,
-                [this, thread_index, vaddr,
-                 now](const core::TranslationResult &result) {
-                    HwThread &th = threads_[thread_index];
-                    recordMissLatency(thread_index, result, now);
-                    if (sim::recording())
-                        sim::recorder().span(
-                            sim::Lane::Translation, th.core,
-                            result.walked        ? "translation (walk)"
-                                : result.l2Hit   ? "translation (L2 hit)"
-                                                 : "translation",
-                            now, result.completedAt, vaddr, thread_index,
-                            "vaddr", "thread");
-                    l1s_[th.core]->insert(result.entry);
-                    Cycle resume = std::max(result.completedAt,
-                                            queue_.curCycle());
-                    scheduleStep(thread_index, resume + burstCycles(th));
-                });
-            break;
-        }
-
-        // Translation overlapped with the L1 cache access: no stall
-        // (the hit class records latency 0 for exactly that reason).
-        if (latency_) {
-            latency_->l1Hit.record(0);
-            if (!latency_->byCtx.empty())
-                latency_->byCtx[thread.ctx]->record(0);
-        }
-        Cycle next = now + burstCycles(thread);
-        if (!config_.stepBypass || !queue_.quietUntil(next)) {
-            scheduleStep(thread_index, next);
-            break;
-        }
-        queue_.advanceTo(next);
-        now = next;
-        ++streak;
+        return;
     }
-    bypassStreaks_.sample(static_cast<double>(streak));
+    ++thread.accessesDone;
+
+    Addr vaddr = nextAddress(thread);
+    mem::Translation t = pageTable_->translate(thread.ctx, vaddr);
+    PageNum vpn = pageNumber(vaddr, t.size);
+
+    ++l1Accesses_;
+    energy_.addL1Lookup();
+    const tlb::TlbEntry *l1_hit =
+        l1s_[thread.core]->lookup(thread.ctx, vpn, t.size);
+
+    if (!l1_hit) {
+        ++l1Misses_;
+        TRACE(System, "thread ", thread_index, " core ", thread.core,
+              " L1 miss vaddr 0x", std::hex, vaddr, std::dec);
+        org_->translate(
+            thread.core, thread.ctx, vaddr, now,
+            [this, thread_index, vaddr,
+             now](const core::TranslationResult &result) {
+                HwThread &th = threads_[thread_index];
+                recordMissLatency(thread_index, result, now);
+                if (sim::recording())
+                    sim::recorder().span(
+                        sim::Lane::Translation, th.core,
+                        result.walked        ? "translation (walk)"
+                            : result.l2Hit   ? "translation (L2 hit)"
+                                             : "translation",
+                        now, result.completedAt, vaddr, thread_index,
+                        "vaddr", "thread");
+                l1s_[th.core]->insert(result.entry);
+                Cycle resume = std::max(result.completedAt,
+                                        queue_.curCycle());
+                scheduleStep(thread_index, resume + burstCycles(th));
+            });
+        return;
+    }
+
+    // Translation overlapped with the L1 cache access: no stall
+    // (the hit class records latency 0 for exactly that reason).
+    if (latency_) {
+        latency_->l1Hit.record(0);
+        if (!latency_->byCtx.empty())
+            latency_->byCtx[thread.ctx]->record(0);
+    }
+    scheduleStep(thread_index, now + burstCycles(thread));
 }
 
 void

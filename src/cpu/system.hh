@@ -101,17 +101,6 @@ struct SystemConfig
     /** Cycles charged to a core per foreign PTE fill (Fig 17). */
     Cycle pollutionPenalty = 15;
 
-    /**
-     * Hit-streak event-queue bypass: after an L1 TLB hit, keep
-     * executing the thread's subsequent accesses inline -- advancing
-     * the clock directly -- for as long as the thread's next step
-     * would be the very event the queue dispatched next anyway. The
-     * schedule is provably identical either way (see DESIGN.md,
-     * "anatomy of the hot path"); the flag exists so tests can prove
-     * it by running both settings.
-     */
-    bool stepBypass = true;
-
     /** Flush all TLBs this often (0 = never; storm runs use 1M). */
     Cycle contextSwitchInterval = 0;
     /** Storm microbenchmark remap period (0 = off). */
@@ -329,7 +318,10 @@ class System : public stats::StatGroup
     static std::vector<double>
     paperBuckets(const stats::Distribution &dist);
 
-    /** Hit-streak bypass coverage (inline accesses per dispatch). */
+    /**
+     * One sample (always 0) per dispatched step. It stays because the
+     * benchmark (perfbench) counts its samples as step dispatches.
+     */
     const stats::Distribution &bypassStreaks() const
     {
         return bypassStreaks_;
@@ -614,8 +606,10 @@ class System : public stats::StatGroup
     stats::Scalar l1Misses_;
     stats::Scalar pollutionStalls_;
     /**
-     * Accesses executed inline per dispatched step (0 = the bypass
-     * never fired for that dispatch), so its coverage is observable.
+     * Sampled with 0 once per dispatched step, since a step is one
+     * access. It stays for the benchmark (perfbench), which counts its
+     * samples as step dispatches and replays one sample per access in
+     * its stats-record layer.
      */
     stats::Distribution bypassStreaks_;
 

@@ -187,6 +187,18 @@ EventQueue::quietUntil(Cycle when) const
 }
 
 void
+EventQueue::advanceTo(Cycle when)
+{
+    if (when < _curCycle)
+        panic("advanceTo into the past: ", when, " < ", _curCycle);
+    if (_numScheduled > 0)
+        panic("advanceTo(", when, ") with ", _numScheduled,
+              " live events pending at cycle ", _curCycle);
+    overflow_ = {};
+    _curCycle = when;
+}
+
+void
 EventQueue::foldOverflow()
 {
     // Bucket indices are interpreted relative to _curCycle, so an event
@@ -215,15 +227,15 @@ EventQueue::processCycle(Cycle cycle)
     // The bucket stays in (priority, seq) order, also as handlers link
     // same-cycle events into it or unlink its other events, so its head
     // is always the next event to run. A handler that advanced the
-    // clock (the hit-streak bypass) may have linked an event for
-    // `cycle + k * wheelSize` into this bucket; the scan finds it later.
+    // clock (advanceTo() on an otherwise empty queue) may have linked
+    // an event for `cycle + k * wheelSize` into this bucket; the scan
+    // finds it later.
     Event *ev;
     while (_curCycle == cycle && (ev = bucket.head)) {
         bucket.head = ev->_next;
         if (!bucket.head) {
             // Drain the bucket *before* dispatching its last event:
-            // handlers (and the hit-streak bypass they host) observe
-            // precise occupancy for this cycle.
+            // handlers observe precise occupancy for this cycle.
             bucket.tail = nullptr;
             occupied_[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
         }

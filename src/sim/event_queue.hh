@@ -149,24 +149,20 @@ class EventQueue
      * @return true when no event is pending anywhere in [curCycle(),
      * @p when] and the overflow heap holds no record (live or stale)
      * at or before @p when. Windows reaching beyond the wheel horizon
-     * report false.
+     * report false. Nothing in the simulator calls it; it stays
+     * because the benchmark's event-queue replay (perfbench) times it.
      */
     bool quietUntil(Cycle when) const;
 
     /**
-     * Advance the clock to @p when without processing anything.
-     * Precondition: no event is pending strictly before @p when (e.g.
-     * quietUntil(when) held); violating it would strand wheel events
-     * behind the clock. Used by the hit-streak bypass, which
-     * establishes the precondition via quietUntil().
+     * Jump the clock to @p when at a quiescent point: fast-forward and
+     * checkpoint restore, which run with nothing scheduled. Panics if
+     * @p when is in the past or any live event is pending. Every
+     * overflow-heap record left is then stale, so the jump drops them
+     * all; one left behind the new clock would pull the clock back to
+     * its cycle when it surfaced.
      */
-    void
-    advanceTo(Cycle when)
-    {
-        if (when < _curCycle)
-            panic("advanceTo into the past: ", when, " < ", _curCycle);
-        _curCycle = when;
-    }
+    void advanceTo(Cycle when);
 
     /**
      * Run until the queue drains or the cycle limit is passed.
@@ -251,7 +247,8 @@ class EventQueue
     /**
      * Process the events due at @p cycle in (priority, seq) order,
      * including events scheduled for it while processing; stop early
-     * if a handler advances the clock. @return number processed.
+     * if a handler advances the clock (advanceTo() on an otherwise
+     * empty queue). @return number processed.
      */
     std::uint64_t processCycle(Cycle cycle);
 

@@ -11,18 +11,6 @@
 
 #include "sim/logging.hh"
 
-// Tag probes compare all ways of a set at once through GCC/Clang
-// vector extensions; define NOCSTAR_TLB_SCALAR_PROBE (or build with a
-// compiler without the extension) to select the scalar loop instead.
-// Both paths return identical results.
-#if defined(NOCSTAR_TLB_SCALAR_PROBE)
-#define NOCSTAR_TLB_SIMD 0
-#elif defined(__GNUC__) || defined(__clang__)
-#define NOCSTAR_TLB_SIMD 1
-#else
-#define NOCSTAR_TLB_SIMD 0
-#endif
-
 namespace nocstar::tlb
 {
 
@@ -94,9 +82,11 @@ SetAssocTlb::setIndex(PageNum vpn, PageSize size) const
 int
 SetAssocTlb::findWay(std::uint32_t set, std::uint64_t key) const
 {
+    // Compare all ways of the set at once through GNU vector
+    // extensions, as GCC and Clang provide; setIndex()'s unsigned
+    // __int128 already needs one of them.
     const std::uint64_t *base =
         keys_.data() + static_cast<std::size_t>(set) * assoc_;
-#if NOCSTAR_TLB_SIMD
     typedef std::uint64_t KeyVec __attribute__((vector_size(32)));
     const KeyVec probe = {key, key, key, key};
     for (std::uint32_t w = 0; w < assoc_; w += 4) {
@@ -111,13 +101,6 @@ SetAssocTlb::findWay(std::uint32_t set, std::uint64_t key) const
             return static_cast<int>(w) + std::countr_zero(mask);
     }
     return -1;
-#else
-    for (std::uint32_t way = 0; way < assoc_; ++way) {
-        if (base[way] == key)
-            return static_cast<int>(way);
-    }
-    return -1;
-#endif
 }
 
 int

@@ -433,22 +433,28 @@ TEST(EventQueue, QuietUntilStaleRecordIsConservative)
     // far-future event still bounds the window until it surfaces.
     // quietUntil() may answer false needlessly, never true across a
     // live event.
-    CountingEvent far(&log, 3);
+    CountingEvent far(&log, 3), keep(&log, 4);
     queue.schedule(&far, 5000);
     queue.deschedule(&far);
-    ASSERT_TRUE(queue.quietUntil(2000));
-    queue.advanceTo(2000);
+    queue.schedule(&keep, 9000);
+    EXPECT_EQ(queue.run(2000), 0u); // stops on its limit
     EXPECT_TRUE(queue.quietUntil(4999));
     EXPECT_FALSE(queue.quietUntil(5000));
+
+    // advanceTo() needs an empty queue, where every heap record is
+    // stale, so the jump drops them all.
+    queue.deschedule(&keep);
+    queue.advanceTo(2000);
+    EXPECT_TRUE(queue.quietUntil(5000));
     EXPECT_EQ(queue.run(), 0u);
     EXPECT_TRUE(log.empty());
 }
 
 TEST(EventQueue, QuietUntilPreciseDuringDispatch)
 {
-    // The bypass fires from *inside* a dispatched step event, so the
-    // current bucket's occupancy bit must already be clear when the
-    // bucket's last record is being processed -- and still set while
+    // A handler probing the queue must not see its own dispatch as
+    // pending work: the current bucket's occupancy bit is already
+    // clear while the bucket's last event runs -- and still set while
     // a same-cycle sibling waits.
     EventQueue queue;
     std::vector<bool> quiet;
@@ -478,43 +484,62 @@ TEST(EventQueue, AdvanceToMovesClockAndRejectsPast)
     EXPECT_EQ(log, (std::vector<int>{1}));
 }
 
+TEST(EventQueue, AdvanceToWithPendingEventPanics)
+{
+    // advanceTo() is a jump at a quiescent point: with a live event
+    // pending, in the wheel or in the overflow heap, it would strand
+    // that event behind the clock, so it refuses and leaves the clock.
+    EventQueue queue;
+    std::vector<int> log;
+    CountingEvent near(&log, 1);
+    queue.schedule(&near, 50);
+    EXPECT_THROW(queue.advanceTo(40), PanicError);
+    EXPECT_THROW(queue.advanceTo(100), PanicError);
+    queue.reschedule(&near, 100000);
+    EXPECT_THROW(queue.advanceTo(10), PanicError);
+    EXPECT_EQ(queue.curCycle(), 0u);
+    queue.deschedule(&near);
+    queue.advanceTo(10);
+    EXPECT_EQ(queue.curCycle(), 10u);
+    EXPECT_TRUE(log.empty());
+}
+
+TEST(EventQueue, AdvanceToPastStaleOverflowRecord)
+{
+    // A jump past a stale overflow record must drop it. Left in the
+    // heap, the record would surface behind the clock, pull the clock
+    // back to its cycle and run the next wheel event a wheel span
+    // early, at 5904.
+    EventQueue queue;
+    std::vector<int> log;
+    CountingEvent gone(&log, 1);
+    queue.schedule(&gone, 5000);
+    queue.deschedule(&gone);
+    queue.advanceTo(6000);
+    std::vector<Cycle> fired;
+    queue.scheduleLambda(10000,
+                         [&] { fired.push_back(queue.curCycle()); });
+    EXPECT_EQ(queue.run(), 1u);
+    EXPECT_EQ(fired, (std::vector<Cycle>{10000}));
+    EXPECT_TRUE(log.empty());
+}
+
 TEST(EventQueue, AdvanceToInsideDispatchLeavesAliasedBucketForLater)
 {
-    // A long bypass streak advances the clock in quiet steps, so a
-    // handler can bring its own cycle plus the wheel span within the
-    // horizon while that cycle is still being dispatched. An event it
+    // A handler may jump the clock of an otherwise empty queue far
+    // enough that its own cycle plus the wheel span enters the horizon
+    // while that cycle is still being dispatched. An event it
     // schedules there lands in the bucket being dispatched, and must
     // wait for its own cycle.
     EventQueue queue;
     std::vector<Cycle> fired;
     queue.scheduleLambda(10, [&] {
-        for (Cycle next = 1000; next <= 4000; next += 1000) {
-            ASSERT_TRUE(queue.quietUntil(next));
-            queue.advanceTo(next);
-        }
+        queue.advanceTo(4000);
         queue.scheduleLambda(10 + 4096,
                              [&] { fired.push_back(queue.curCycle()); });
     });
     EXPECT_EQ(queue.run(), 2u);
     EXPECT_EQ(fired, (std::vector<Cycle>{10 + 4096}));
-}
-
-TEST(EventQueue, AdvanceToInsideDispatchSkipsQuietCycles)
-{
-    // The bypass pattern end-to-end: an event checks the queue is
-    // quiet, advances the clock over the gap, and the queue resumes
-    // exact dispatch from the new cycle.
-    EventQueue queue;
-    std::vector<Cycle> fired;
-    queue.scheduleLambda(5, [&] {
-        ASSERT_TRUE(queue.quietUntil(24));
-        queue.advanceTo(24);
-        queue.scheduleLambda(25, [&] { fired.push_back(queue.curCycle()); });
-    });
-    queue.scheduleLambda(25, [&] { fired.push_back(queue.curCycle()); });
-    queue.run();
-    EXPECT_EQ(fired, (std::vector<Cycle>{25, 25}));
-    EXPECT_EQ(queue.curCycle(), 25u);
 }
 
 namespace
@@ -593,7 +618,7 @@ class WheelOracle
             runOneCycle();
             break;
           case 7:
-            skipQuiet();
+            jumpWhenIdle();
             break;
           default:
             checkNextEventCycle();
@@ -672,6 +697,7 @@ class WheelOracle
 
     bool failed() const { return failed_; }
     std::uint64_t dispatches() const { return dispatches_; }
+    std::uint64_t jumps() const { return jumps_; }
 
   private:
     static constexpr std::size_t none = ~std::size_t{0};
@@ -879,19 +905,22 @@ class WheelOracle
         EXPECT_TRUE(head == invalidCycle || head > clock_);
     }
 
-    /** The hit-streak bypass pattern: skip ahead while quiet. */
+    /**
+     * A quiescent jump, as fast-forward and checkpoint restore make:
+     * legal only while nothing live is pending. Stale overflow records
+     * the jump passes must not surface later.
+     */
     void
-    skipQuiet()
+    jumpWhenIdle()
     {
-        const Cycle target = queue_.curCycle() + rng_.below(64);
-        if (!queue_.quietUntil(target))
+        const Cycle target = queue_.curCycle() + delay();
+        if (live_ > 0) {
+            EXPECT_THROW(queue_.advanceTo(target), PanicError);
             return;
-        const Cycle head = refHead();
-        EXPECT_TRUE(head == invalidCycle || head > target)
-            << "quietUntil(" << target << ") held across a live event at "
-            << head;
+        }
         queue_.advanceTo(target);
         clock_ = target;
+        ++jumps_;
     }
 
     void
@@ -928,6 +957,7 @@ class WheelOracle
 
     std::uint64_t dispatches_ = 0;
     std::uint64_t dispatchedThisStep_ = 0;
+    std::uint64_t jumps_ = 0;
     bool failed_ = false;
 };
 
@@ -949,8 +979,10 @@ TEST_P(WheelDifferentialTest, RandomizedOpsMatchReference)
         oracle.step();
     oracle.drain();
     EXPECT_FALSE(oracle.failed());
-    // Enough traffic that the draws above really exercised the wheel.
+    // Enough traffic that the draws above really exercised the wheel,
+    // and enough idle points that quiescent jumps ran too.
     EXPECT_GT(oracle.dispatches(), 10000u);
+    EXPECT_GT(oracle.jumps(), 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WheelDifferentialTest,

@@ -83,59 +83,6 @@ TEST(System, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(a.energyPj, b.energyPj);
 }
 
-TEST(System, BypassIsScheduleExact)
-{
-    // The hit-streak bypass must be unobservable: every RunResult
-    // field identical with it on (default) and off, for both a
-    // private baseline and the fabric organization (whose in-flight
-    // L2/walk events exercise the quiet-window check hardest).
-    for (core::OrgKind kind :
-         {core::OrgKind::Private, core::OrgKind::Nocstar}) {
-        SystemConfig off = smallConfig(kind);
-        off.stepBypass = false;
-        SystemConfig on = smallConfig(kind);
-        ASSERT_TRUE(on.stepBypass);
-        RunResult a = System(off).run(3000);
-        RunResult b = System(on).run(3000);
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_DOUBLE_EQ(a.meanCycles, b.meanCycles);
-        EXPECT_EQ(a.instructions, b.instructions);
-        EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
-        EXPECT_EQ(a.appCycles, b.appCycles);
-        EXPECT_EQ(a.l1Accesses, b.l1Accesses);
-        EXPECT_EQ(a.l1Misses, b.l1Misses);
-        EXPECT_EQ(a.l2Accesses, b.l2Accesses);
-        EXPECT_EQ(a.l2Hits, b.l2Hits);
-        EXPECT_EQ(a.l2Misses, b.l2Misses);
-        EXPECT_EQ(a.walks, b.walks);
-        EXPECT_DOUBLE_EQ(a.avgL2AccessLatency, b.avgL2AccessLatency);
-        EXPECT_DOUBLE_EQ(a.avgWalkLatency, b.avgWalkLatency);
-        EXPECT_DOUBLE_EQ(a.energyPj, b.energyPj);
-        EXPECT_DOUBLE_EQ(a.fabricAvgLatency, b.fabricAvgLatency);
-        EXPECT_EQ(a.concurrencyBuckets, b.concurrencyBuckets);
-    }
-}
-
-TEST(System, BypassExactUnderPeriodicEvents)
-{
-    // Context-switch flushes are the adversarial case for the bypass:
-    // overflow-heap events (interval >= wheel size) keep landing in
-    // the middle of hit streaks, so the quiet-window check must cut
-    // every streak exactly at the flush boundary.
-    SystemConfig off = smallConfig(core::OrgKind::Nocstar);
-    off.contextSwitchInterval = 5000;
-    off.stepBypass = false;
-    SystemConfig on = off;
-    on.stepBypass = true;
-    RunResult a = System(off).run(3000);
-    RunResult b = System(on).run(3000);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.l1Misses, b.l1Misses);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.walks, b.walks);
-    EXPECT_DOUBLE_EQ(a.energyPj, b.energyPj);
-}
-
 TEST(System, SeedChangesStreams)
 {
     SystemConfig config = smallConfig(core::OrgKind::Private);
