@@ -48,7 +48,7 @@ main(int argc, char **argv)
 
     // An address homed on slice 1, requested by core 0 (one hop).
     Addr vaddr = Addr{1} << pageShift(PageSize::FourKB);
-    org.preloadShared(1, vaddr, table.translate(1, vaddr));
+    org.preload(0, 1, vaddr, table.translate(1, vaddr));
 
     Cycle completed = 0;
     org.translate(0, 1, vaddr, 0, [&](const TranslationResult &r) {

@@ -46,9 +46,6 @@ enum class PathAcquire
 /** @return a short printable name for an organization. */
 const char *orgKindName(OrgKind kind);
 
-/** @return true for the organizations with per-core shared slices. */
-bool isSliced(OrgKind kind);
-
 /** @return true for any shared (non-private) organization. */
 bool isShared(OrgKind kind);
 
@@ -120,19 +117,6 @@ struct OrgConfig
      * problem named instead of asserting somewhere mid-run.
      */
     std::vector<std::string> validate() const;
-
-    /** Slice capacity actually used by this organization. */
-    std::uint32_t
-    sliceEntriesFor() const
-    {
-        switch (kind) {
-          case OrgKind::Nocstar:
-          case OrgKind::NocstarIdeal:
-            return nocstarSliceEntries;
-          default:
-            return l2Entries;
-        }
-    }
 };
 
 } // namespace nocstar::core

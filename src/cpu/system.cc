@@ -196,6 +196,12 @@ SystemConfig::validate() const
         if (!org.faults.empty())
             errors.push_back(strCat(what,
                                     " cannot run with a fault plan"));
+        // Fast-forward installs translations without prefetching their
+        // neighbours. Prewarm never prefetches, so checkpoints may.
+        if (org.prefetchDistance > 0 &&
+            (sampling.enabled() || sampling.warmupAccesses > 0))
+            errors.push_back(strCat(what,
+                                    " cannot run with prefetchDistance"));
     }
     return errors;
 }
@@ -264,9 +270,6 @@ System::System(const SystemConfig &config)
     org_ctx.l1Invalidate = [this](CoreId core, ContextId ctx, PageNum vpn,
                                   PageSize size) {
         l1s_.at(core)->invalidate(ctx, vpn, size);
-    };
-    org_ctx.l1Flush = [this](CoreId core) {
-        l1s_.at(core)->invalidateAll();
     };
 
     org_ = core::makeOrganization(config.org, std::move(org_ctx), this);
@@ -795,10 +798,7 @@ void
 System::warmInstall(CoreId core, ContextId ctx, Addr vaddr,
                     const mem::Translation &t, bool into_l1)
 {
-    if (core::isShared(config_.org.kind))
-        org_->preloadShared(ctx, vaddr, t);
-    else
-        org_->preloadPrivate(core, ctx, vaddr, t);
+    org_->preload(core, ctx, vaddr, t);
     if (into_l1) {
         tlb::TlbEntry entry;
         entry.valid = true;

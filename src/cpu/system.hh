@@ -483,8 +483,8 @@ class System : public stats::StatGroup
 
     /**
      * The one state-touching install path shared by prewarm() and the
-     * fast-forward engine: home L2 structure via the organization's
-     * preload hooks, optionally the requesting core's L1 group.
+     * fast-forward engine: the home L2 array via the organization's
+     * preload(), optionally the requesting core's L1 group.
      */
     void warmInstall(CoreId core, ContextId ctx, Addr vaddr,
                      const mem::Translation &t, bool into_l1);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Abstract one-way traversal-latency interface implemented by the
- * baseline interconnects (mesh, SMART, bus, ideal). The NOCSTAR fabric
+ * baseline interconnects (mesh, SMART, ideal). The NOCSTAR fabric
  * is event-driven and lives in src/core; these baselines are modelled
  * per the paper's methodology as contention-free latency functions
  * ("we place enough buffers and links in the system to prevent link
@@ -127,30 +127,6 @@ class SmartNetwork : public Network
 
   private:
     unsigned hpcMax_;
-};
-
-/**
- * Shared bus: single-cycle broadcast once granted, but only one
- * transaction per cycle chip-wide; later requests queue.
- */
-class BusNetwork : public Network
-{
-  public:
-    using Network::Network;
-
-  protected:
-    Cycle
-    latency(CoreId src, CoreId dst, Cycle now) override
-    {
-        if (src == dst)
-            return 0;
-        Cycle grant = std::max(now + 1, nextFree_);
-        nextFree_ = grant + 1;
-        return (grant - now) + 1;
-    }
-
-  private:
-    Cycle nextFree_ = 0;
 };
 
 /** Zero-latency ideal interconnect. */

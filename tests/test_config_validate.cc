@@ -221,6 +221,33 @@ TEST(SystemValidate, CatchesBadHotspotAndEccSettings)
     EXPECT_FALSE(config.validate().empty());
 }
 
+TEST(SystemValidate, FastForwardRefusesPrefetch)
+{
+    // Fast-forward fills the home arrays without prefetching, so a
+    // sampled or warmed run would evolve TLB state detail never would.
+    cpu::SystemConfig config = validSystemConfig();
+    config.org.prefetchDistance = 2;
+    EXPECT_TRUE(config.validate().empty());
+
+    cpu::SystemConfig sampled = config;
+    sampled.sampling.windows = 4;
+    sampled.sampling.detailAccesses = 500;
+    EXPECT_TRUE(mentions(sampled.validate(),
+                         "sampled simulation cannot run with "
+                         "prefetchDistance"));
+
+    cpu::SystemConfig warmed = config;
+    warmed.sampling.warmupAccesses = 1000;
+    EXPECT_TRUE(mentions(warmed.validate(),
+                         "fast-forward warming cannot run with "
+                         "prefetchDistance"));
+
+    // Prewarm never prefetches: checkpoint-only runs stay allowed.
+    cpu::SystemConfig checkpointed = config;
+    checkpointed.checkpointSavePath = "unused.ckpt";
+    EXPECT_TRUE(checkpointed.validate().empty());
+}
+
 TEST(SystemValidate, ConstructorRejectsWithFullList)
 {
     cpu::SystemConfig config = validSystemConfig();

@@ -48,19 +48,6 @@ TEST(SmartNetwork, FasterThanMeshForLongPaths)
         EXPECT_LT(smart.traverse(0, d, 0), mesh.traverse(0, d, 0));
 }
 
-TEST(BusNetwork, SerializesTransactions)
-{
-    stats::StatGroup g("g");
-    GridTopology topo(4, 4);
-    BusNetwork bus("bus", topo, &g);
-    Cycle first = bus.traverse(0, 5, 100);
-    Cycle second = bus.traverse(1, 6, 100);
-    Cycle third = bus.traverse(2, 7, 100);
-    EXPECT_EQ(first, 2u); // grant next cycle + 1-cycle broadcast
-    EXPECT_EQ(second, 3u);
-    EXPECT_EQ(third, 4u);
-}
-
 TEST(IdealNetwork, AlwaysZero)
 {
     stats::StatGroup g("g");
