@@ -40,7 +40,6 @@
 #include "cpu/system.hh"
 #include "sim/fault.hh"
 #include "sim/parallel.hh"
-#include "sim/trace.hh"
 #include "sim/trace_recorder.hh"
 #include "workload/spec.hh"
 
@@ -145,7 +144,7 @@ parseSampleSpec(const std::string &spec, cpu::SamplingConfig &out)
  */
 struct RunOptions
 {
-    bool trace = false;           ///< --trace[=FLAGS] or --trace-out
+    bool trace = false;           ///< --trace or --trace-out
     std::string traceOut;         ///< --trace-out; see exportTrace()
     std::string statsJson;        ///< --stats-json (JSONL per sweep)
     Cycle epoch = 0;              ///< --epoch: stats snapshot period
@@ -194,18 +193,8 @@ struct RunOptions
 inline void
 RunOptions::addTo(ArgParser &parser)
 {
-    parser.optionalValue(
-        "trace", [this] { trace = true; },
-        [this](const std::string &flags) {
-            trace = true;
-            if (!trace::setFlags(flags))
-                std::fprintf(stderr,
-                             "warning: unknown debug flag in '%s'\n",
-                             flags.c_str());
-            return true;
-        },
-        "capture structured events (optionally set debug flags)",
-        "FLAGS");
+    parser.flag("trace", &trace,
+                "capture structured events as Chrome trace JSON");
     parser.option(
         "trace-out",
         [this](const std::string &file) {

@@ -107,7 +107,9 @@ main(int argc, char **argv)
                 : core::PtwPlacement::Requester;
             return true;
         },
-        "requester | remote (default requester)", "WHERE");
+        "requester | remote (default requester; remote needs "
+        "per-tile slices, so not monolithic)",
+        "WHERE");
     parser.option(
         "acquire",
         [&config](const std::string &value) {
@@ -122,7 +124,8 @@ main(int argc, char **argv)
     parser.option("hpcmax", &config.org.hpcMax,
                   "fabric hops per cycle (default 16)");
     parser.option("leaders", &config.org.invalLeaderGroup,
-                  "invalidation leader group (default 0)");
+                  "invalidation leader group (default 0; > 0 needs "
+                  "per-tile slices, so not private or monolithic)");
     parser.option("fixed-ptw", &config.walker.fixedLatency,
                   "fixed walk latency in cycles (default variable)");
     parser.option("seed", &config.seed, "random seed (default 1)");

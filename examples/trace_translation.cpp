@@ -13,8 +13,7 @@
  *   trace_translation_stats.json  the machine-readable stats document
  *                                 (epoch snapshots + final tree).
  *
- * Also demonstrates the debug-print flags (TRACE lines for the first
- * few cycles) and the per-link occupancy heatmap.
+ * Also prints the per-link occupancy heatmap.
  *
  * Exits nonzero unless the captured trace actually contains
  * translation spans, fabric link spans, walker spans and counter-track
@@ -28,7 +27,6 @@
 #include "bench/bench_common.hh"
 #include "core/nocstar_org.hh"
 #include "cpu/system.hh"
-#include "sim/trace.hh"
 #include "sim/trace_recorder.hh"
 #include "workload/spec.hh"
 
@@ -121,17 +119,6 @@ main(int argc, char **argv)
         bench::printLinkHeatmap(std::cout, fabric.topology(),
                                 fabric.linkHoldCycles, result.cycles);
     }
-
-    // 6. Debug-print flags: re-run a few translations with TLB and
-    //    Fabric lines on, to stderr.
-    std::fprintf(stderr, "\n--- TRACE(TLB,Fabric) sample ---\n");
-    trace::setFlags("TLB,Fabric");
-    cpu::SystemConfig tiny = config;
-    tiny.statsEpochInterval = 0;
-    tiny.statsJsonPath.clear();
-    cpu::System sample(tiny);
-    sample.run(2);
-    trace::clearFlags();
 
     bool ok = per_lane[static_cast<unsigned>(
                   sim::Lane::Translation)] > 0 &&

@@ -92,10 +92,8 @@ DistributedOrg::translate(CoreId core, ContextId ctx, Addr vaddr,
     Cycle start = portStart(slice, req_arrival + (slice == core ? 0 : 1));
     Cycle lookup_done = start + sliceLatency_;
 
-    TRACE(TLB, "core ", core, " L2 ", hit ? "hit" : "miss",
-          " vaddr 0x", std::hex, vaddr, std::dec, " home slice ",
-          slice);
-    noteSliceLookup(slice, start, lookup_done, hit != nullptr);
+    noteSliceLookup(slice, core, vaddr, start, lookup_done,
+                    hit != nullptr);
 
     if (hit) {
         Cycle completed = slice == core
@@ -135,7 +133,7 @@ DistributedOrg::shootdown(CoreId initiator, ContextId ctx, Addr vaddr,
                           ShootdownDone on_complete)
 {
     CoreId slice = homeArrayOf(initiator, vaddr);
-    beginShootdown(ctx, vaddr, sharers, slice, slice + 1);
+    beginShootdown(ctx, vaddr, sharers, now, slice, slice + 1);
 
     Cycle last = now;
     if (config_.invalLeaderGroup == 0) {

@@ -24,7 +24,6 @@
 #include <bit>
 #include <limits>
 
-#include "sim/trace.hh"
 #include "sim/trace_recorder.hh"
 
 namespace nocstar::core
@@ -160,13 +159,6 @@ Interconnect::enqueue(Message *msg, CoreId src, CoreId dst, Cycle now,
                       Cycle occupancy, bool round_trip)
 {
     Cycle active = std::max(now, queue_.curCycle());
-    if (round_trip) {
-        TRACE(Fabric, "post round-trip ", src, " -> ", dst, " occupancy ",
-              occupancy, " active at ", active);
-    } else {
-        TRACE(Fabric, "post one-way ", src, " -> ", dst, " active at ",
-              active);
-    }
     msg->req = Request{src, dst, active, active, occupancy, round_trip, 0};
     msg->degraded = false;
     MessageFifo &fifo = pending_[src];
@@ -272,8 +264,6 @@ Interconnect::arbitrate()
             } else {
                 req.activeAt = now + 1;
             }
-            TRACE(Fabric, "setup denied ", req.src, " -> ", req.dst,
-                  " retry ", req.retries);
             if (sim::recording())
                 sim::recorder().instant(sim::Lane::Message, req.src,
                                         "setup denied", now, req.dst,
@@ -284,8 +274,6 @@ Interconnect::arbitrate()
         Cycle traversal = this->traversal(req.src, req.dst);
         Cycle arrival = now + traversal;
 
-        TRACE(Fabric, "setup granted ", req.src, " -> ", req.dst,
-              " after ", req.retries, " retries, arrival ", arrival);
         if (sim::recording())
             sim::recorder().span(sim::Lane::Message, req.src,
                                  req.roundTrip ? "round-trip message"
@@ -329,9 +317,10 @@ Interconnect::activateFault(const sim::LinkFaultSpec &fault)
     ++faultsInjected;
     linkFaultyUntil_[fault.link] =
         std::max(linkFaultyUntil_[fault.link], fault.end());
-    TRACE(Fabric, "link ", fault.link, " fault window opens at ",
-          queue_.curCycle(),
-          fault.permanent() ? " (permanent)" : "");
+    if (sim::recording())
+        sim::recorder().instant(sim::Lane::Link, fault.link, "link fault",
+                                queue_.curCycle(), fault.duration, 0,
+                                "duration");
     if (fault.permanent() && !linkDeadPermanent_[fault.link]) {
         linkDeadPermanent_[fault.link] = 1;
         rebuildPaths();
@@ -366,8 +355,6 @@ Interconnect::degrade(CoreId src, Cycle now)
         static_cast<double>((arrival - req.posted) + 1);
     if (grantWait_)
         (*grantWait_)[req.src].record(now - req.posted);
-    TRACE(Fabric, "degraded ", req.src, " -> ", req.dst, " after ",
-          req.retries, " retries, mesh arrival ", arrival);
     if (sim::recording())
         sim::recorder().span(sim::Lane::Message, req.src,
                              "degraded message", req.posted, arrival,
@@ -582,8 +569,10 @@ Interconnect::rebuildPaths()
                 ensureTree(src);
                 if (parent[dst] < 0) {
                     pairDegraded_[pair] = 1;
-                    TRACE(Fabric, "no surviving path ", src, " -> ",
-                          dst, "; pair degraded to fallback mesh");
+                    if (sim::recording())
+                        sim::recorder().instant(
+                            sim::Lane::Message, src, "no surviving path",
+                            queue_.curCycle(), dst, 0, "dst");
                 } else {
                     pairDegraded_[pair] = 0;
                     reversed.clear();

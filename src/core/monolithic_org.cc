@@ -83,9 +83,8 @@ MonolithicOrg::translate(CoreId core, ContextId ctx, Addr vaddr,
         ctx_.energy->addL2Message(energy::NocStyle::MonolithicMesh, hops,
                                   0);
 
-    TRACE(TLB, "core ", core, " L2 ", hit ? "hit" : "miss",
-          " vaddr 0x", std::hex, vaddr, std::dec, " bank ", bank);
-    noteSliceLookup(bank, lookup_start, lookup_done, hit != nullptr);
+    noteSliceLookup(bank, core, vaddr, lookup_start, lookup_done,
+                    hit != nullptr);
 
     if (hit) {
         TranslationResult result;
@@ -131,7 +130,7 @@ MonolithicOrg::shootdown(CoreId initiator, ContextId ctx, Addr vaddr,
                          ShootdownDone on_complete)
 {
     unsigned bank = homeArrayOf(initiator, vaddr);
-    beginShootdown(ctx, vaddr, sharers, bank, bank + 1);
+    beginShootdown(ctx, vaddr, sharers, now, bank, bank + 1);
 
     // Every IPI'd sharer relays an invalidation to the structure; they
     // serialize on the bank's port.

@@ -34,17 +34,6 @@ class MonolithicOrg final : public TlbOrganization
                    const std::vector<CoreId> &sharers, Cycle now,
                    ShootdownDone on_complete) override;
 
-    /**
-     * The banks sit beside one tile rather than on a tile each, so a
-     * miss always walks at the requester, whatever the placement.
-     */
-    CoreId
-    walkCoreFor(CoreId requester, Addr vaddr) const override
-    {
-        (void)vaddr;
-        return requester;
-    }
-
     /** Tile adjacent to which the monolithic structure is placed. */
     CoreId structureTile() const { return structureTile_; }
 

@@ -159,14 +159,11 @@ NocstarOrg::translate(CoreId core, ContextId ctx, Addr vaddr, Cycle now,
     const tlb::TlbEntry *hit_entry = lookupHome(slice, ctx, vaddr, ecc);
     bool hit = hit_entry != nullptr;
     tlb::TlbEntry entry = hit ? *hit_entry : tlb::TlbEntry{};
-    TRACE(TLB, "core ", core, " L2 ", hit ? "hit" : "miss",
-          " vaddr 0x", std::hex, vaddr, std::dec, " home slice ",
-          slice);
 
     if (slice == core) {
         Cycle start = portStart(slice, t0);
         Cycle lookup_done = start + sliceLatency_;
-        noteSliceLookup(slice, start, lookup_done, hit);
+        noteSliceLookup(slice, core, vaddr, start, lookup_done, hit);
         if (hit)
             respondHit(core, slice, entry, lookup_done, now,
                        /*degraded=*/false, std::move(done));
@@ -186,7 +183,8 @@ NocstarOrg::translate(CoreId core, ContextId ctx, Addr vaddr, Cycle now,
                 const bool deg = fabric_->deliveredDegraded();
                 Cycle start = portStart(slice, arrival + 1);
                 Cycle lookup_done = start + sliceLatency_;
-                noteSliceLookup(slice, start, lookup_done, hit);
+                noteSliceLookup(slice, core, vaddr, start, lookup_done,
+                                hit);
                 if (hit) {
                     // Return path is pre-granted: one traversal, no
                     // arbitration.
@@ -213,7 +211,8 @@ NocstarOrg::translate(CoreId core, ContextId ctx, Addr vaddr, Cycle now,
                       const bool deg = fabric_->deliveredDegraded();
                       Cycle start = portStart(slice, arrival + 1);
                       Cycle lookup_done = start + sliceLatency_;
-                      noteSliceLookup(slice, start, lookup_done, hit);
+                      noteSliceLookup(slice, core, vaddr, start,
+                                      lookup_done, hit);
                       if (hit)
                           respondHit(core, slice, entry, lookup_done,
                                      now, deg, std::move(done));
@@ -230,7 +229,7 @@ NocstarOrg::shootdown(CoreId initiator, ContextId ctx, Addr vaddr,
                       ShootdownDone on_complete)
 {
     CoreId slice = homeArrayOf(initiator, vaddr);
-    beginShootdown(ctx, vaddr, sharers, slice, slice + 1);
+    beginShootdown(ctx, vaddr, sharers, now, slice, slice + 1);
 
     // Completion is tracked with a shared countdown across the relay
     // messages actually sent.

@@ -72,7 +72,18 @@ OrgConfig::validate() const
             errors.push_back(strCat("banks (", banks,
                                     ") exceeds numCores (", numCores,
                                     ")"));
+        // A policy the organization has no mechanism for is refused,
+        // never silently ignored.
+        if (ptwPlacement == PtwPlacement::Remote)
+            errors.push_back("ptwPlacement remote needs slices on "
+                             "tiles; monolithic walks run at the "
+                             "requester");
     }
+    if ((monolithic || kind == OrgKind::Private) && invalLeaderGroup > 0)
+        errors.push_back(strCat("invalLeaderGroup (", invalLeaderGroup,
+                                ") needs per-tile slices; ",
+                                orgKindName(kind),
+                                " shootdowns relay through no leaders"));
 
     if (isShared(kind) && numCores > 0) {
         // Every interconnect model assumes the cores tile a full
@@ -229,21 +240,24 @@ TlbOrganization::complete(unsigned home, Cycle issued,
 void
 TlbOrganization::beginShootdown(ContextId ctx, Addr vaddr,
                                 const std::vector<CoreId> &sharers,
-                                unsigned first, unsigned last)
+                                Cycle now, unsigned first, unsigned last)
 {
     ++shootdowns;
     mem::Translation t = ctx_.pageTable->translate(ctx, vaddr);
     PageNum vpn = pageNumber(vaddr, t.size);
-    TRACE(Shootdown, "vaddr 0x", std::hex, vaddr, std::dec, " to ",
-          sharers.size(), " sharers");
 
     for (CoreId sharer : sharers)
         if (ctx_.l1Invalidate)
             ctx_.l1Invalidate(sharer, ctx, vpn, t.size);
 
     std::uint64_t removed = 0;
-    for (unsigned i = first; i < last; ++i)
+    for (unsigned i = first; i < last; ++i) {
         removed += arrays_.at(i)->invalidate(ctx, vpn, t.size) ? 1 : 0;
+        if (sim::recording())
+            sim::recorder().instant(sim::Lane::Slice, i, "shootdown",
+                                    now, vaddr, sharers.size(),
+                                    "vaddr", "sharers");
+    }
     shootdownL2Invalidations += static_cast<double>(removed);
 }
 
@@ -330,19 +344,6 @@ TlbOrganization::fill(CoreId core, unsigned home,
         array.insert(neighbour);
         ++prefetchInserts;
     }
-}
-
-tlb::TlbEntry
-TlbOrganization::entryFor(ContextId ctx, Addr vaddr,
-                          const mem::Translation &t) const
-{
-    tlb::TlbEntry entry;
-    entry.valid = true;
-    entry.size = t.size;
-    entry.vpn = pageNumber(vaddr, t.size);
-    entry.ppn = t.ppn;
-    entry.ctx = ctx;
-    return entry;
 }
 
 } // namespace nocstar::core

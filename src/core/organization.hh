@@ -22,7 +22,6 @@
 #include "noc/topology.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
-#include "sim/trace.hh"
 #include "sim/trace_recorder.hh"
 #include "tlb/prefetcher.hh"
 #include "tlb/set_assoc_tlb.hh"
@@ -56,6 +55,19 @@ struct TranslationResult
      */
     bool degraded = false;
 };
+
+/** The TLB entry that maps @p vaddr in @p ctx by translation @p t. */
+inline tlb::TlbEntry
+entryFor(ContextId ctx, Addr vaddr, const mem::Translation &t)
+{
+    tlb::TlbEntry entry;
+    entry.valid = true;
+    entry.size = t.size;
+    entry.vpn = pageNumber(vaddr, t.size);
+    entry.ppn = t.ppn;
+    entry.ctx = ctx;
+    return entry;
+}
 
 /** Callback when a translation completes (inline, no heap). */
 using TranslationDone =
@@ -180,11 +192,12 @@ class TlbOrganization : public stats::StatGroup
      * The core whose walker would service a miss on (@p requester,
      * @p vaddr) under the configured walk-placement policy: the home
      * array's tile under remote placement (array i sits on tile i),
-     * else the requester. Functional warming warms that walker's PSCs
-     * and L2 PTE lines, matching the detailed path's reference
-     * placement.
+     * else the requester. validate() refuses remote placement for the
+     * monolithic banks, which sit on no tile. Functional warming warms
+     * that walker's PSCs and L2 PTE lines, matching the detailed
+     * path's reference placement.
      */
-    virtual CoreId
+    CoreId
     walkCoreFor(CoreId requester, Addr vaddr) const
     {
         return config_.ptwPlacement == PtwPlacement::Remote
@@ -265,10 +278,12 @@ class TlbOrganization : public stats::StatGroup
     /**
      * The steps every shootdown starts with: count it, resolve the
      * page, invalidate it in every sharer's L1 (the IPI handlers), and
-     * drop any stale copy from home arrays [@p first, @p last).
+     * drop any stale copy from home arrays [@p first, @p last), each
+     * of which records a "shootdown" instant at @p now on its Slice
+     * track.
      */
     void beginShootdown(ContextId ctx, Addr vaddr,
-                        const std::vector<CoreId> &sharers,
+                        const std::vector<CoreId> &sharers, Cycle now,
                         unsigned first, unsigned last);
 
     /**
@@ -299,21 +314,20 @@ class TlbOrganization : public stats::StatGroup
      */
     void fill(CoreId core, unsigned home, const tlb::TlbEntry &entry);
 
-    /** Make a TLB entry from a walk's translation. */
-    tlb::TlbEntry entryFor(ContextId ctx, Addr vaddr,
-                           const mem::Translation &t) const;
-
     /**
-     * Record one home-array lookup on the structured-trace Slice lane
-     * (one track per array). Free when recording is off.
+     * Record @p core's lookup of @p vaddr in home array @p home on the
+     * structured-trace Slice lane (one track per array). Free when
+     * recording is off.
      */
-    void
-    noteSliceLookup(unsigned home, Cycle start, Cycle done, bool hit)
+    static void
+    noteSliceLookup(unsigned home, CoreId core, Addr vaddr, Cycle start,
+                    Cycle done, bool hit)
     {
         if (sim::recording())
             sim::recorder().span(sim::Lane::Slice, home,
                                  hit ? "lookup hit" : "lookup miss",
-                                 start, done);
+                                 start, done, vaddr, core, "vaddr",
+                                 "core");
     }
 
     OrgConfig config_;

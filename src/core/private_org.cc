@@ -30,9 +30,8 @@ PrivateOrg::translate(CoreId core, ContextId ctx, Addr vaddr, Cycle now,
     const tlb::TlbEntry *hit = lookupHome(core, ctx, vaddr, ecc);
     Cycle lookup_done = start + lookupLatency_;
 
-    TRACE(TLB, "core ", core, " private L2 ", hit ? "hit" : "miss",
-          " vaddr 0x", std::hex, vaddr, std::dec);
-    noteSliceLookup(core, start, lookup_done, hit != nullptr);
+    noteSliceLookup(core, core, vaddr, start, lookup_done,
+                    hit != nullptr);
 
     if (hit) {
         TranslationResult result;
@@ -69,7 +68,7 @@ PrivateOrg::shootdown(CoreId, ContextId ctx, Addr vaddr,
 {
     // Every private L2 may hold a stale copy; the IPI handler on each
     // core invalidates locally, all in parallel.
-    beginShootdown(ctx, vaddr, sharers, 0, numHomeArrays());
+    beginShootdown(ctx, vaddr, sharers, now, 0, numHomeArrays());
     endShootdown(now, now + shootdownLatency, std::move(on_complete));
 }
 

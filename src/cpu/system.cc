@@ -428,8 +428,6 @@ System::step(std::size_t thread_index)
 
     if (!l1_hit) {
         ++l1Misses_;
-        TRACE(System, "thread ", thread_index, " core ", thread.core,
-              " L1 miss vaddr 0x", std::hex, vaddr, std::dec);
         org_->translate(
             thread.core, thread.ctx, vaddr, now,
             [this, thread_index, vaddr,
@@ -492,41 +490,35 @@ System::sampleCounters(Cycle at)
                                 counterFabric_->linksHeld(at));
 }
 
+template <typename F>
 void
-System::installCounterEvent()
+System::every(Cycle period, Event::Priority prio, F body)
 {
-    if (config_.counterInterval == 0 || !sim::recording())
-        return;
-    // lastPriority: the sample sees every event of its cycle.
     queue_.scheduleLambda(
-        queue_.curCycle() + config_.counterInterval,
-        [this] {
+        queue_.curCycle() + period,
+        [this, period, prio, body] {
             if (unfinished_ == 0)
                 return;
-            sampleCounters(queue_.curCycle());
-            installCounterEvent();
+            body();
+            every(period, prio, body);
         },
-        Event::lastPriority);
+        prio);
 }
 
 void
-System::installProgressEvent()
+System::armObservers()
 {
-    if (!progress_)
-        return;
+    // lastPriority: a sample sees every event of its cycle.
+    if (config_.counterInterval != 0 && sim::recording())
+        every(config_.counterInterval, Event::lastPriority,
+              [this] { sampleCounters(queue_.curCycle()); });
     // Check the wall clock every few thousand cycles: frequent enough
     // that any human-scale period is honoured, rare enough that the
     // check itself never shows up in a profile.
     constexpr Cycle checkInterval = 8192;
-    queue_.scheduleLambda(
-        queue_.curCycle() + checkInterval,
-        [this] {
-            if (unfinished_ == 0)
-                return;
-            maybeProgress();
-            installProgressEvent();
-        },
-        Event::lastPriority);
+    if (progress_)
+        every(checkInterval, Event::lastPriority,
+              [this] { maybeProgress(); });
 }
 
 void
@@ -575,28 +567,8 @@ System::maybeProgress(bool force)
 }
 
 void
-System::installContextSwitchEvent()
-{
-    if (config_.contextSwitchInterval == 0)
-        return;
-    Cycle when = queue_.curCycle() + config_.contextSwitchInterval;
-    queue_.scheduleLambda(when, [this] {
-        if (unfinished_ == 0)
-            return;
-        // x86 context switch without PCID: everything is flushed.
-        for (auto &l1 : l1s_)
-            l1->invalidateAll();
-        org_->flushAll();
-        installContextSwitchEvent();
-    });
-}
-
-void
 System::stormOp()
 {
-    if (unfinished_ == 0)
-        return;
-
     // The storm app is the last context: allocate-promote-break cycles
     // over its shared pool (paper §V, TLB storm microbenchmark).
     auto storm_app = static_cast<unsigned>(config_.apps.size() - 1);
@@ -626,9 +598,11 @@ System::stormOp()
     unsigned messages = std::min<unsigned>(
         config_.stormMessagesPerOp, std::max(1u, invalidated));
     Cycle now = queue_.curCycle();
-    TRACE(Shootdown, "storm op region ", region, " ",
-          stormPromote_ ? "break" : "promote", " invalidated ",
-          invalidated, " entries, ", messages, " timed messages");
+    if (sim::recording())
+        sim::recorder().instant(sim::Lane::Translation,
+                                sharers.empty() ? 0 : sharers[0],
+                                "storm remap", now, region, invalidated,
+                                "region", "invalidated");
     for (unsigned m = 0; m < messages; ++m) {
         Addr page = base + (static_cast<Addr>(m)
                             << pageShift(PageSize::FourKB));
@@ -636,46 +610,20 @@ System::stormOp()
                                                          sharers.size()];
         org_->shootdown(initiator, ctx, page, sharers, now, nullptr);
     }
-
-    queue_.scheduleLambda(now + config_.stormRemapInterval,
-                          [this] { stormOp(); });
 }
 
 void
-System::installStormEvent()
+System::snapshotEpoch()
 {
-    if (config_.stormRemapInterval == 0)
-        return;
-    queue_.scheduleLambda(queue_.curCycle() + config_.stormRemapInterval,
-                          [this] { stormOp(); });
-}
-
-void
-System::installEpochEvent()
-{
-    if (config_.statsEpochInterval == 0)
-        return;
-    // lastPriority: the snapshot sees every stat update of its cycle.
-    queue_.scheduleLambda(
-        queue_.curCycle() + config_.statsEpochInterval,
-        [this] {
-            if (unfinished_ == 0)
-                return;
-            TRACE(Stats, "epoch ", epochSnapshots_.size(),
-                  " snapshot", config_.statsEpochReset
-                                   ? " (and reset)" : "");
-            org_->syncFaultStats(queue_.curCycle());
-            std::ostringstream os;
-            os << "{\"epoch\":" << epochSnapshots_.size()
-               << ",\"cycle\":" << queue_.curCycle() << ",\"stats\":";
-            dumpJson(os);
-            os << "}";
-            epochSnapshots_.push_back(os.str());
-            if (config_.statsEpochReset)
-                resetAll();
-            installEpochEvent();
-        },
-        Event::lastPriority);
+    org_->syncFaultStats(queue_.curCycle());
+    std::ostringstream os;
+    os << "{\"epoch\":" << epochSnapshots_.size()
+       << ",\"cycle\":" << queue_.curCycle() << ",\"stats\":";
+    dumpJson(os);
+    os << "}";
+    epochSnapshots_.push_back(os.str());
+    if (config_.statsEpochReset)
+        resetAll();
 }
 
 void
@@ -799,15 +747,8 @@ System::warmInstall(CoreId core, ContextId ctx, Addr vaddr,
                     const mem::Translation &t, bool into_l1)
 {
     org_->preload(core, ctx, vaddr, t);
-    if (into_l1) {
-        tlb::TlbEntry entry;
-        entry.valid = true;
-        entry.size = t.size;
-        entry.vpn = pageNumber(vaddr, t.size);
-        entry.ppn = t.ppn;
-        entry.ctx = ctx;
-        l1s_.at(core)->insert(entry);
-    }
+    if (into_l1)
+        l1s_.at(core)->insert(core::entryFor(ctx, vaddr, t));
 }
 
 void
@@ -825,7 +766,6 @@ System::fastForwardAccess(HwThread &thread, Cycle now)
         return;
 
     mem::Translation t = pageTable_->translate(thread.ctx, vaddr);
-    PageNum vpn = pageNumber(vaddr, t.size);
 
     // L1 miss: probe the home L2 array the detailed engine would, and
     // on a miss warm the walk path (PSC + walk-reference caches) at
@@ -839,13 +779,7 @@ System::fastForwardAccess(HwThread &thread, Cycle now)
         warmInstall(thread.core, thread.ctx, vaddr, t, false);
     }
     // The returned translation refills the L1 either way.
-    tlb::TlbEntry entry;
-    entry.valid = true;
-    entry.size = t.size;
-    entry.vpn = vpn;
-    entry.ppn = t.ppn;
-    entry.ctx = thread.ctx;
-    l1s_[thread.core]->insert(entry);
+    l1s_[thread.core]->insert(core::entryFor(thread.ctx, vaddr, t));
 }
 
 void
@@ -902,9 +836,22 @@ System::fastForward(std::uint64_t accesses)
 void
 System::beginRun(std::uint64_t total_quota)
 {
-    installContextSwitchEvent();
-    installStormEvent();
-    installEpochEvent();
+    if (config_.contextSwitchInterval != 0)
+        every(config_.contextSwitchInterval, Event::defaultPriority,
+              [this] {
+                  // x86 context switch without PCID: everything is
+                  // flushed.
+                  for (auto &l1 : l1s_)
+                      l1->invalidateAll();
+                  org_->flushAll();
+              });
+    if (config_.stormRemapInterval != 0)
+        every(config_.stormRemapInterval, Event::defaultPriority,
+              [this] { stormOp(); });
+    // lastPriority: the snapshot sees every stat update of its cycle.
+    if (config_.statsEpochInterval != 0)
+        every(config_.statsEpochInterval, Event::lastPriority,
+              [this] { snapshotEpoch(); });
 
     if (config_.progressSeconds >= 0 && !progress_) {
         progress_ = std::make_unique<Progress>();
@@ -912,9 +859,7 @@ System::beginRun(std::uint64_t total_quota)
         progress_->lastEmit = progress_->start;
         progress_->totalQuota = total_quota;
     }
-    nextCounterAt_ = 0;
-    installCounterEvent();
-    installProgressEvent();
+    armObservers();
 }
 
 std::uint64_t
@@ -1250,10 +1195,9 @@ System::runSampled(std::uint64_t accesses_per_thread)
             scheduleStep(i, queue_.curCycle() + rng_.below(8));
         }
         if (w > 0) {
-            // The self-reinstalling counter / heartbeat events died
-            // with the previous window's drain; re-arm them.
-            installCounterEvent();
-            installProgressEvent();
+            // The periodic counter / heartbeat events died with the
+            // previous window's drain; re-arm them.
+            armObservers();
         }
         queue_.run();
 

@@ -537,10 +537,19 @@ class System : public stats::StatGroup
 
     Addr nextAddress(HwThread &thread);
 
-    void installContextSwitchEvent();
-    void installStormEvent();
+    /**
+     * Run @p body every @p period cycles at priority @p prio, the
+     * first time @p period cycles from now, until no thread is left
+     * unfinished. Each run schedules the next one after @p body.
+     */
+    template <typename F>
+    void every(Cycle period, Event::Priority prio, F body);
+
+    /** One storm remap and its timed shootdowns. */
     void stormOp();
-    void installEpochEvent();
+
+    /** Append one stats snapshot (and reset, if configured). */
+    void snapshotEpoch();
 
     /**
      * Classify and record one completed L1-miss translation into the
@@ -555,9 +564,9 @@ class System : public stats::StatGroup
      * caller has already checked recording() and the interval). */
     void sampleCounters(Cycle at);
 
-    /** Periodic counter-sampling / heartbeat events. */
-    void installCounterEvent();
-    void installProgressEvent();
+    /** Start the periodic counter-sampling and heartbeat events that
+     * are configured. */
+    void armObservers();
 
     /** Emit a heartbeat line if the wall-clock period elapsed (or
      * @p force); no-op when the heartbeat is off. */
@@ -597,8 +606,6 @@ class System : public stats::StatGroup
     std::unique_ptr<LatencyStats> latency_;
     /** Heartbeat bookkeeping; null unless progressSeconds >= 0. */
     std::unique_ptr<Progress> progress_;
-    /** Next cycle at or after which counter tracks may sample again. */
-    Cycle nextCounterAt_ = 0;
     /** Fabric of a NOCSTAR org, for the links-held counter track. */
     core::Interconnect *counterFabric_ = nullptr;
 

@@ -5,7 +5,6 @@
 
 #include "mem/page_walker.hh"
 
-#include "sim/trace.hh"
 #include "sim/trace_recorder.hh"
 
 namespace nocstar::mem
@@ -109,10 +108,6 @@ PageTableWalker::walk(ContextId ctx, Addr vaddr, CoreId requester_core,
     ++walks;
     walkCycles += static_cast<double>(result.walkLatency);
     queueCycles += static_cast<double>(result.queueDelay);
-    TRACE(Walker, "core ", core_, " walk vaddr 0x", std::hex, vaddr,
-          std::dec, " latency ", result.walkLatency, " queue ",
-          result.queueDelay, " psc hits ", result.pscHits, " dram ",
-          result.dramRefs);
     if (sim::recording())
         sim::recorder().span(sim::Lane::Walker, core_, "walk", start,
                              start + result.walkLatency,

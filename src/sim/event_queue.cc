@@ -7,8 +7,6 @@
 
 #include <bit>
 
-#include "sim/trace.hh"
-
 namespace nocstar
 {
 
@@ -18,17 +16,8 @@ Event::~Event()
         panic("event destroyed while still scheduled");
 }
 
-EventQueue::EventQueue()
-{
-    // Trace lines emitted by components of this simulation are stamped
-    // with this queue's clock (thread-local, so parallel sweeps each
-    // stamp with their own simulation's time).
-    trace::setCycleSource(&_curCycle);
-}
-
 EventQueue::~EventQueue()
 {
-    trace::clearCycleSource(&_curCycle);
     // Pooled lambda events may still be pending at teardown; detach
     // them so their destructors do not trip the scheduled() assertion.
     for (PooledLambdaEvent *ev : lambdaAll_) {
@@ -46,8 +35,6 @@ EventQueue::schedule(Event *ev, Cycle when)
     if (when < _curCycle)
         panic("scheduling event in the past: ", when, " < ", _curCycle);
 
-    TRACE(EventQ, "schedule event prio ", ev->priority(), " for cycle ",
-          when);
     ev->_scheduled = true;
     ev->_when = when;
     ev->_seq = _nextSeq++;
@@ -94,7 +81,6 @@ EventQueue::deschedule(Event *ev)
 {
     if (!ev->_scheduled)
         panic("deschedule of unscheduled event");
-    TRACE(EventQ, "deschedule event queued for cycle ", ev->_when);
     if (ev->_inWheel) {
         // Unlink at once: the wheel holds only live events.
         std::size_t index = ev->_when & wheelMask;
@@ -244,8 +230,6 @@ EventQueue::processCycle(Cycle cycle)
         ev->_scheduled = false;
         ev->_when = invalidCycle;
         --_numScheduled;
-        TRACE(EventQ, "process event prio ", ev->_priority, " seq ",
-              ev->_seq);
         ev->process();
         ++processed;
     }
@@ -255,7 +239,6 @@ EventQueue::processCycle(Cycle cycle)
 std::uint64_t
 EventQueue::run(Cycle limit)
 {
-    trace::setCycleSource(&_curCycle);
     std::uint64_t processed = 0;
     while (_numScheduled > 0) {
         Cycle head = nextEventCycle();

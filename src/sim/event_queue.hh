@@ -116,9 +116,6 @@ class LambdaEvent : public Event
 class EventQueue
 {
   public:
-    /** Registers this queue's clock as the thread's trace-stamp source. */
-    EventQueue();
-
     /** Current simulation cycle. */
     Cycle curCycle() const { return _curCycle; }
 

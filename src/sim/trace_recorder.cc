@@ -12,12 +12,10 @@
 namespace nocstar::sim
 {
 
-#ifndef NOCSTAR_NO_TRACE
 namespace detail
 {
 bool recordingActive = false;
 } // namespace detail
-#endif
 
 const char *
 laneName(Lane lane)
@@ -52,9 +50,7 @@ TraceRecorder::start(std::size_t capacity)
     wrapped_ = false;
     total_ = 0;
     enabled_ = true;
-#ifndef NOCSTAR_NO_TRACE
     detail::recordingActive = true;
-#endif
 }
 
 void
@@ -62,9 +58,7 @@ TraceRecorder::stop()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     enabled_ = false;
-#ifndef NOCSTAR_NO_TRACE
     detail::recordingActive = false;
-#endif
 }
 
 void

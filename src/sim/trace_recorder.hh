@@ -1,16 +1,17 @@
 /**
  * @file
- * Structured simulation-event capture: a bounded ring buffer of spans
- * and instants (translation lifecycles, fabric link occupancy, page
- * walks) with a Chrome trace-event JSON exporter, so a full translation
- * timeline can be inspected visually in Perfetto / chrome://tracing.
+ * Structured simulation-event capture, the simulator's one
+ * instrumentation layer: a bounded ring buffer of spans and instants
+ * (translation lifecycles, slice lookups and shootdowns, page walks,
+ * fabric link holds and faults, message setups) with a Chrome
+ * trace-event JSON exporter, so a full translation timeline can be
+ * inspected visually in Perfetto / chrome://tracing.
  *
  * Capture is off by default and gated by one cached global bool, so an
- * instrumentation point costs a single predicted branch when disabled
- * (and nothing at all under -DNOCSTAR_NO_TRACE, where recording() is a
- * compile-time false). Record names and argument names must be string
- * literals (or otherwise outlive the recorder): records store the
- * pointers, never copies.
+ * instrumentation point costs a single predicted branch when disabled.
+ * Record names and argument names must be string literals (or
+ * otherwise outlive the recorder): records store the pointers, never
+ * copies.
  */
 
 #ifndef NOCSTAR_SIM_TRACE_RECORDER_HH
@@ -145,14 +146,6 @@ class TraceRecorder
     std::uint64_t total_ = 0;
 };
 
-#ifdef NOCSTAR_NO_TRACE
-/** Compiled-out capture: branches on recording() fold away. */
-inline constexpr bool
-recording()
-{
-    return false;
-}
-#else
 namespace detail
 {
 /** Mirrors TraceRecorder::global().enabled(); one cached bool. */
@@ -165,7 +158,6 @@ recording()
 {
     return detail::recordingActive;
 }
-#endif
 
 /** Shorthand for TraceRecorder::global(). */
 inline TraceRecorder &

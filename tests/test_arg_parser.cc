@@ -316,7 +316,9 @@ TEST(RunOptions, MalformedValuesAreRejected)
 {
     for (const char *arg :
          {"--sample=8", "--sample=8,x", "--sample=1,2,3,4,5",
-          "--lat-hist=bogus", "--progress=-1"}) {
+          "--lat-hist=bogus", "--progress=-1",
+          // --trace is a plain flag and takes no value.
+          "--trace=TLB"}) {
         RunParser run;
         EXPECT_FALSE(run.parse({arg})) << arg;
     }

@@ -121,6 +121,45 @@ TEST(OrgValidate, CatchesPrefetchDistanceOutOfRange)
     }
 }
 
+TEST(OrgValidate, RefusesPoliciesTheOrganizationIgnores)
+{
+    struct Row
+    {
+        OrgKind kind;
+        bool remoteWalks; ///< ptwPlacement = Remote is accepted
+        bool leaders;     ///< invalLeaderGroup > 0 is accepted
+    };
+    const Row rows[] = {
+        {OrgKind::Private, true, false},
+        {OrgKind::MonolithicMesh, false, false},
+        {OrgKind::MonolithicSmart, false, false},
+        {OrgKind::Distributed, true, true},
+        {OrgKind::IdealShared, true, true},
+        {OrgKind::Nocstar, true, true},
+        {OrgKind::NocstarIdeal, true, true},
+    };
+    for (const Row &row : rows) {
+        const char *name = orgKindName(row.kind);
+        OrgConfig remote;
+        remote.kind = row.kind;
+        remote.numCores = 16;
+        remote.ptwPlacement = PtwPlacement::Remote;
+        EXPECT_EQ(remote.validate().empty(), row.remoteWalks) << name;
+        EXPECT_EQ(mentions(remote.validate(), "ptwPlacement"),
+                  !row.remoteWalks)
+            << name;
+
+        OrgConfig leaders;
+        leaders.kind = row.kind;
+        leaders.numCores = 16;
+        leaders.invalLeaderGroup = 4;
+        EXPECT_EQ(leaders.validate().empty(), row.leaders) << name;
+        EXPECT_EQ(mentions(leaders.validate(), "invalLeaderGroup"),
+                  !row.leaders)
+            << name;
+    }
+}
+
 TEST(OrgValidate, ChecksFaultPlanAgainstTopology)
 {
     OrgConfig config;

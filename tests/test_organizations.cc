@@ -554,8 +554,15 @@ TEST(Organizations, StormFaultRunResultsMatchGoldens)
         config.org.kind = g.kind;
         config.org.numCores = 16;
         config.org.banks = 4;
-        config.org.ptwPlacement = PtwPlacement::Remote;
-        config.org.invalLeaderGroup = 4;
+        // Remote walks and leader relays only where the organization
+        // has them; validate() refuses both elsewhere.
+        if (g.kind != OrgKind::MonolithicMesh &&
+            g.kind != OrgKind::MonolithicSmart)
+            config.org.ptwPlacement = PtwPlacement::Remote;
+        if (g.kind != OrgKind::Private &&
+            g.kind != OrgKind::MonolithicMesh &&
+            g.kind != OrgKind::MonolithicSmart)
+            config.org.invalLeaderGroup = 4;
         config.org.faults.sliceEccProb = 0.01;
         config.org.faults.walkEccProb = 0.01;
         cpu::AppConfig app;

@@ -1,142 +1,23 @@
 /**
  * @file
- * Unit tests for the debug-trace layer (flags, TRACE macro, cycle
- * stamping) and the structured trace recorder (ring buffer, Chrome
- * JSON export, JSON escaping).
+ * Unit tests for the structured trace recorder (ring buffer, Chrome
+ * JSON export, JSON escaping) and for what a simulation records into
+ * it.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <set>
 #include <sstream>
+#include <string_view>
 
-#include "sim/event_queue.hh"
+#include "cpu/system.hh"
 #include "sim/json.hh"
-#include "sim/trace.hh"
 #include "sim/trace_recorder.hh"
 
 using namespace nocstar;
-
-namespace
-{
-
-/** Redirect trace output into a string for the test's lifetime. */
-class SinkCapture
-{
-  public:
-    SinkCapture() { trace::setSink(&os_); }
-
-    ~SinkCapture()
-    {
-        trace::setSink(nullptr);
-        trace::clearFlags();
-    }
-
-    std::string text() const { return os_.str(); }
-
-  private:
-    std::ostringstream os_;
-};
-
-} // namespace
-
-TEST(TraceFlags, SetFlagsParsesCsv)
-{
-    trace::clearFlags();
-    EXPECT_TRUE(trace::setFlags("TLB,Fabric"));
-    EXPECT_TRUE(trace::enabled(trace::Flag::TLB));
-    EXPECT_TRUE(trace::enabled(trace::Flag::Fabric));
-    EXPECT_FALSE(trace::enabled(trace::Flag::Walker));
-    EXPECT_FALSE(trace::enabled(trace::Flag::EventQ));
-    trace::clearFlags();
-}
-
-TEST(TraceFlags, SetFlagsReplacesSelection)
-{
-    trace::setFlags("TLB");
-    trace::setFlags("Walker");
-    EXPECT_FALSE(trace::enabled(trace::Flag::TLB));
-    EXPECT_TRUE(trace::enabled(trace::Flag::Walker));
-    trace::clearFlags();
-}
-
-TEST(TraceFlags, AllSelectsEverything)
-{
-    EXPECT_TRUE(trace::setFlags("All"));
-    for (unsigned f = 0; f < trace::numFlags; ++f)
-        EXPECT_TRUE(trace::enabled(static_cast<trace::Flag>(f)));
-    EXPECT_TRUE(trace::setFlags(""));
-    for (unsigned f = 0; f < trace::numFlags; ++f)
-        EXPECT_FALSE(trace::enabled(static_cast<trace::Flag>(f)));
-}
-
-TEST(TraceFlags, UnknownTokenReturnsFalseButKnownOnesApply)
-{
-    EXPECT_FALSE(trace::setFlags("TLB,Bogus"));
-    EXPECT_TRUE(trace::enabled(trace::Flag::TLB));
-    trace::clearFlags();
-}
-
-TEST(TraceFlags, SingleFlagToggle)
-{
-    trace::clearFlags();
-    trace::setFlag(trace::Flag::Shootdown, true);
-    EXPECT_TRUE(trace::enabled(trace::Flag::Shootdown));
-    trace::setFlag(trace::Flag::Shootdown, false);
-    EXPECT_FALSE(trace::enabled(trace::Flag::Shootdown));
-}
-
-#ifndef NOCSTAR_NO_TRACE
-
-TEST(TraceMacro, DisabledFlagEmitsNothingAndSkipsArguments)
-{
-    SinkCapture capture;
-    trace::clearFlags();
-    int evaluations = 0;
-    auto touch = [&evaluations] {
-        ++evaluations;
-        return 1;
-    };
-    TRACE(TLB, "should not appear ", touch());
-    EXPECT_EQ(capture.text(), "");
-    EXPECT_EQ(evaluations, 0) << "arguments must be lazily evaluated";
-}
-
-TEST(TraceMacro, EnabledFlagEmitsStampedLine)
-{
-    SinkCapture capture;
-    trace::setFlags("Fabric");
-    Cycle cycle = 42;
-    trace::setCycleSource(&cycle);
-    TRACE(Fabric, "grant ", 3, " -> ", 7);
-    trace::clearCycleSource(&cycle);
-    std::string text = capture.text();
-    EXPECT_NE(text.find("42"), std::string::npos) << text;
-    EXPECT_NE(text.find("Fabric"), std::string::npos) << text;
-    EXPECT_NE(text.find("grant 3 -> 7"), std::string::npos) << text;
-}
-
-TEST(TraceMacro, CycleSourceFollowsEventQueue)
-{
-    SinkCapture capture;
-    trace::setFlags("EventQ");
-    {
-        EventQueue queue;
-        queue.scheduleLambda(9, [] {});
-        queue.run();
-        // The schedule and process lines carry the queue's clock.
-        std::string text = capture.text();
-        EXPECT_NE(text.find("schedule event"), std::string::npos)
-            << text;
-        EXPECT_NE(text.find("process event"), std::string::npos)
-            << text;
-        EXPECT_NE(text.find(" 9: EventQ"), std::string::npos) << text;
-    }
-    // Queue destroyed: the thread's cycle source must be cleared, not
-    // dangling.
-    EXPECT_EQ(trace::currentCycle(), 0u);
-}
 
 TEST(TraceRecorderTest, DisabledRecorderIgnoresRecords)
 {
@@ -293,7 +174,84 @@ TEST(TraceRecorderTest, GlobalGateTracksStartStop)
     sim::TraceRecorder::global().clear();
 }
 
-#endif // !NOCSTAR_NO_TRACE
+TEST(TraceRecorderTest, NocstarStormRunRecordsEveryEventKind)
+{
+    // A 16-core NOCSTAR run with storm remaps under CI's smoke fault
+    // plan, which isolates tile 9 at cycle 0.
+    std::istringstream plan_text("link 9 E 0 permanent\n"
+                                 "link 9 W 0 permanent\n"
+                                 "link 9 N 0 permanent\n"
+                                 "link 9 S 0 permanent\n"
+                                 "grant-loss 0.01\n"
+                                 "slice-ecc 0.002\n"
+                                 "walk-ecc 0.002\n"
+                                 "seed 7\n");
+    cpu::SystemConfig config;
+    config.org.kind = core::OrgKind::Nocstar;
+    config.org.numCores = 16;
+    config.org.faults = sim::FaultPlan::parse(plan_text, "smoke.plan");
+    cpu::AppConfig app;
+    app.spec = workload::findWorkload("graph500");
+    app.threads = 16;
+    config.apps.push_back(app);
+    config.stormRemapInterval = 2000;
+
+    sim::TraceRecorder &rec = sim::TraceRecorder::global();
+    rec.start();
+    cpu::System system(config);
+    system.run(2000);
+    rec.stop();
+    const auto records = rec.snapshot();
+    EXPECT_EQ(rec.dropped(), 0u);
+    rec.clear();
+
+    const core::TlbOrganization &org = system.organization();
+    std::size_t storms = 0, shootdowns = 0, lookups = 0;
+    std::set<std::uint32_t> faulted_links;
+    std::set<std::uint64_t> unreachable;
+    for (const sim::TraceRecorder::Record &r : records) {
+        const std::string_view name = r.name;
+        if (name == "storm remap") {
+            ++storms;
+            EXPECT_EQ(r.lane, sim::Lane::Translation);
+            EXPECT_EQ(r.kind, sim::TraceRecorder::Kind::Instant);
+        } else if (name == "shootdown") {
+            ++shootdowns;
+            EXPECT_EQ(r.lane, sim::Lane::Slice);
+            EXPECT_EQ(r.kind, sim::TraceRecorder::Kind::Instant);
+            EXPECT_STREQ(r.arg0Name, "vaddr");
+            // One track per home array: the page's home slice.
+            EXPECT_EQ(r.track, org.homeArrayOf(0, r.arg0));
+        } else if (name == "link fault") {
+            EXPECT_EQ(r.lane, sim::Lane::Link);
+            EXPECT_EQ(r.start, 0u);
+            EXPECT_EQ(r.arg0, 0u) << "permanent: no duration";
+            faulted_links.insert(r.track);
+        } else if (name == "no surviving path") {
+            EXPECT_EQ(r.lane, sim::Lane::Message);
+            EXPECT_EQ(r.track, 9u) << "only the isolated tile is cut off";
+            EXPECT_EQ(r.start, 0u);
+            unreachable.insert(r.arg0);
+        } else if (name == "lookup hit" || name == "lookup miss") {
+            ++lookups;
+            EXPECT_EQ(r.lane, sim::Lane::Slice);
+            ASSERT_STREQ(r.arg0Name, "vaddr");
+            ASSERT_STREQ(r.arg1Name, "core");
+            EXPECT_LT(r.arg1, 16u);
+            EXPECT_EQ(r.track,
+                      org.homeArrayOf(static_cast<CoreId>(r.arg1),
+                                      r.arg0));
+        }
+    }
+    EXPECT_GT(storms, 0u);
+    EXPECT_GT(shootdowns, 0u);
+    EXPECT_GT(lookups, 0u);
+    // Tile 9's four output links (E, W, N, S), and every destination
+    // but tile 9 itself left without a path from it.
+    EXPECT_EQ(faulted_links, (std::set<std::uint32_t>{36, 37, 38, 39}));
+    EXPECT_EQ(unreachable.size(), 15u);
+    EXPECT_EQ(unreachable.count(9), 0u);
+}
 
 TEST(JsonHelpers, EscapeHandlesSpecials)
 {
