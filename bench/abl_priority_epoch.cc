@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "bench/bench_common.hh"
-#include "core/nocstar_org.hh"
 
 using namespace nocstar;
 
@@ -20,36 +19,39 @@ main(int argc, char **argv)
         argc, argv, 5000,
         "NOCSTAR rotating-priority epoch sweep (gups, 64 cores)");
     const auto &spec = workload::findWorkload("gups");
+    const Cycle epochs[] = {10u, 100u, 1000u, 10000u, 1000000u};
+
+    // The private baseline, then one NOCSTAR run per epoch; every run
+    // sends a share of its accesses to slice 0 to concentrate
+    // contention.
+    std::vector<bench::SimJob> jobs;
+    auto priv_config =
+        bench::makeConfig(core::OrgKind::Private, 32, spec);
+    priv_config.hotspotSlice = 0;
+    jobs.push_back({priv_config, args.accesses});
+    for (Cycle epoch : epochs) {
+        auto config = bench::makeConfig(core::OrgKind::Nocstar, 32,
+                                        spec);
+        config.org.priorityEpoch = epoch;
+        config.hotspotSlice = 0;
+        jobs.push_back({config, args.accesses});
+    }
     bench::SweepHarness harness("abl_priority_epoch", args.run,
                                 args.jobs);
+    auto results = harness.runMany(jobs);
+    const cpu::RunResult &priv = results.front();
 
     std::printf("Ablation: priority rotation epoch (gups, 32 cores, "
                 "hot slice 0)\n");
     std::printf("%10s %12s %12s %14s\n", "epoch", "speedup",
                 "avg net lat", "max retries");
-    auto priv_config =
-        bench::makeConfig(core::OrgKind::Private, 32, spec);
-    priv_config.hotspotSlice = 0;
-    auto priv = harness.runMany({{priv_config, args.accesses}}).front();
-
-    for (Cycle epoch : {10u, 100u, 1000u, 10000u, 1000000u}) {
-        auto config = bench::makeConfig(core::OrgKind::Nocstar, 32,
-                                        spec);
-        config.org.priorityEpoch = epoch;
-        config.hotspotSlice = 0; // concentrate contention
-        // Held here, not run through runMany(), so the fabric's
-        // fairness stats can be read back after the run.
-        bench::exitOnFatal("abl_priority_epoch", [&] {
-            cpu::System system(harness.prepare(config));
-            auto result = system.run(args.accesses);
-            auto &org =
-                dynamic_cast<core::NocstarOrg &>(system.organization());
-            std::printf("%10llu %12.3f %12.2f %14.0f\n",
-                        static_cast<unsigned long long>(epoch),
-                        bench::speedupVsPrivate(priv, result),
-                        org.fabric().averageLatency(),
-                        org.fabric().retryDistribution.maxSample());
-        });
+    const cpu::RunResult *next = &results[1];
+    for (Cycle epoch : epochs) {
+        const cpu::RunResult &result = *next++;
+        std::printf("%10llu %12.3f %12.2f %14.0f\n",
+                    static_cast<unsigned long long>(epoch),
+                    bench::speedupVsPrivate(priv, result),
+                    result.fabricAvgLatency, result.fabricMaxRetries);
     }
     return 0;
 }

@@ -21,13 +21,16 @@ main(int argc, char **argv)
     const std::uint32_t sliceEntries[] = {512u,  768u,  920u,
                                           1024u, 1536u, 2048u};
 
-    // Per slice size and workload: private, then NOCSTAR.
+    // One private baseline per workload, then per slice size one
+    // NOCSTAR run per workload.
+    const auto &workloads = workload::paperWorkloads();
     std::vector<bench::SimJob> jobs;
+    for (const auto &spec : workloads)
+        jobs.push_back({bench::makeConfig(core::OrgKind::Private, 32,
+                                          spec),
+                        args.accesses});
     for (std::uint32_t entries : sliceEntries) {
-        for (const auto &spec : workload::paperWorkloads()) {
-            jobs.push_back({bench::makeConfig(core::OrgKind::Private,
-                                              32, spec),
-                            args.accesses});
+        for (const auto &spec : workloads) {
             auto config =
                 bench::makeConfig(core::OrgKind::Nocstar, 32, spec);
             config.org.nocstarSliceEntries = entries;
@@ -36,7 +39,8 @@ main(int argc, char **argv)
     }
     bench::SweepHarness harness("abl_slice_size", args.run, args.jobs);
     auto results = harness.runMany(jobs);
-    const cpu::RunResult *next = results.data();
+    const cpu::RunResult *privs = results.data();
+    const cpu::RunResult *next = privs + workloads.size();
 
     std::printf("Ablation: NOCSTAR slice entries (32 cores, average "
                 "across workloads)\n");
@@ -45,11 +49,10 @@ main(int argc, char **argv)
 
     for (std::uint32_t entries : sliceEntries) {
         double avg_speedup = 0, avg_missrate = 0;
-        for (std::size_t w = 0; w < workload::paperWorkloads().size();
-             ++w) {
-            const cpu::RunResult &priv = *next++;
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
             const cpu::RunResult &result = *next++;
-            avg_speedup += bench::speedupVsPrivate(priv, result) / 11.0;
+            avg_speedup +=
+                bench::speedupVsPrivate(privs[w], result) / 11.0;
             avg_missrate += result.l2MissRate / 11.0;
         }
         std::printf("%10u %12.3f %12.3f\n", entries, avg_speedup,

@@ -168,7 +168,7 @@ class ArgParser
 
     /**
      * Option usable bare or with =VALUE (--name | --name=VALUE), e.g.
-     * --lat-hist[=ctx]. Never consumes the following argument.
+     * --progress[=SECONDS]. Never consumes the following argument.
      */
     ArgParser &
     optionalValue(const std::string &name, std::function<void()> bare,

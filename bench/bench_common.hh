@@ -148,10 +148,7 @@ struct RunOptions
     std::string traceOut;         ///< --trace-out; see exportTrace()
     std::string statsJson;        ///< --stats-json (JSONL per sweep)
     Cycle epoch = 0;              ///< --epoch: stats snapshot period
-    bool epochReset = false;      ///< --epoch-reset: deltas, not totals
     bool latHist = false;         ///< --lat-hist
-    bool latPerCtx = false;       ///< --lat-hist=ctx
-    Cycle counterInterval = 0;    ///< --counters
     double progressSeconds = -1;  ///< --progress[=S]; < 0 = off
     std::optional<sim::FaultPlan> faultPlan; ///< --fault-plan
     /** --fault-seed: replaces the plan's seed, in either flag order. */
@@ -169,11 +166,8 @@ struct RunOptions
     apply(cpu::SystemConfig config) const
     {
         config.statsEpochInterval = epoch;
-        config.statsEpochReset = epochReset;
         config.statsJsonPath = statsJson;
         config.latencyStats = latHist;
-        config.latencyPerContext = latPerCtx;
-        config.counterInterval = counterInterval;
         config.progressSeconds = progressSeconds;
         if (faultPlan) {
             config.org.faults = *faultPlan;
@@ -194,7 +188,8 @@ inline void
 RunOptions::addTo(ArgParser &parser)
 {
     parser.flag("trace", &trace,
-                "capture structured events as Chrome trace JSON");
+                "capture structured events and counter tracks as "
+                "Chrome trace JSON");
     parser.option(
         "trace-out",
         [this](const std::string &file) {
@@ -207,24 +202,9 @@ RunOptions::addTo(ArgParser &parser)
     parser.option("stats-json", &statsJson,
                   "append per-run stats JSON to FILE (JSONL)");
     parser.option("epoch", &epoch,
-                  "snapshot the stats tree every N cycles");
-    parser.flag("epoch-reset", &epochReset,
-                "epoch snapshots are per-interval deltas, not totals");
-    parser.optionalValue(
-        "lat-hist", [this] { latHist = true; },
-        [this](const std::string &mode) {
-            if (mode != "ctx")
-                return false;
-            latHist = true;
-            latPerCtx = true;
-            return true;
-        },
-        "record per-class translation-latency histograms "
-        "(=ctx adds a per-context split)",
-        "ctx");
-    parser.option("counters", &counterInterval,
-                  "sample Perfetto counter tracks every N cycles "
-                  "(needs --trace)");
+                  "snapshot the stats tree every N cycles (cumulative)");
+    parser.flag("lat-hist", &latHist,
+                "record per-class translation-latency histograms");
     parser.optionalValue(
         "progress", [this] { progressSeconds = 2.0; },
         [this](const std::string &value) {

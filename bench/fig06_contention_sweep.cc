@@ -7,6 +7,7 @@
  */
 
 #include <cstdio>
+#include <iterator>
 
 #include "bench/bench_common.hh"
 
@@ -32,17 +33,16 @@ addWorkloads(std::vector<bench::SimJob> &jobs, unsigned cores,
     }
 }
 
-/** Print the buckets of the next result per workload, averaged. */
+/** Print the buckets of one addWorkloads() block, averaged. */
 void
-printBuckets(const char *label, const cpu::RunResult *&next,
+printBuckets(const char *label, const cpu::RunResult *block,
              bool per_slice)
 {
     std::vector<double> avg(9, 0.0);
-    for (std::size_t w = 0; w < workload::paperWorkloads().size();
-         ++w, ++next) {
+    for (std::size_t w = 0; w < workload::paperWorkloads().size(); ++w) {
         const auto &buckets = per_slice
-            ? next->sliceConcurrencyBuckets
-            : next->concurrencyBuckets;
+            ? block[w].sliceConcurrencyBuckets
+            : block[w].concurrencyBuckets;
         for (std::size_t i = 0; i < 9; ++i)
             avg[i] += buckets[i] / 11.0;
     }
@@ -61,20 +61,21 @@ main(int argc, char **argv)
         argc, argv, 4000,
         "Fig 6: chip-wide / per-slice concurrency vs core count");
     std::uint64_t base = args.accesses;
-    const unsigned bigCores[] = {64u, 128u, 256u, 512u};
+    // One slice per core: the right panel's rows are core counts too,
+    // and its 64-512 rows are the left panel's 64-512 core runs.
     const unsigned sliceCounts[] = {32u, 64u, 128u, 256u, 512u};
 
     std::vector<bench::SimJob> jobs;
     for (double l1_scale : {1.0, 0.5, 1.5})
         addWorkloads(jobs, 32, l1_scale, base);
-    for (unsigned cores : bigCores)
-        addWorkloads(jobs, cores, 1.0, base * 32 / cores + 500);
     for (unsigned cores : sliceCounts)
         addWorkloads(jobs, cores, 1.0, base * 32 / cores + 500);
     bench::SweepHarness harness("fig06_contention_sweep", args.run,
                                 args.jobs);
     auto results = harness.runMany(jobs);
-    const cpu::RunResult *next = results.data();
+    const std::size_t block = workload::paperWorkloads().size();
+    const cpu::RunResult *l1_rows = results.data();
+    const cpu::RunResult *core_rows = l1_rows + 3 * block;
 
     std::printf("Fig 6 (left): chip-wide concurrency, averaged across "
                 "workloads\n");
@@ -83,13 +84,13 @@ main(int argc, char **argv)
         std::printf("%8s", b);
     std::printf("\n");
 
-    printBuckets("baseline", next, false);
-    printBuckets("0.5x-L1", next, false);
-    printBuckets("1.5x-L1", next, false);
-    for (unsigned cores : bigCores) {
+    printBuckets("baseline", l1_rows, false);
+    printBuckets("0.5x-L1", l1_rows + block, false);
+    printBuckets("1.5x-L1", l1_rows + 2 * block, false);
+    for (std::size_t i = 1; i < std::size(sliceCounts); ++i) {
         char label[32];
-        std::snprintf(label, sizeof(label), "%u-cores", cores);
-        printBuckets(label, next, false);
+        std::snprintf(label, sizeof(label), "%u-cores", sliceCounts[i]);
+        printBuckets(label, core_rows + i * block, false);
     }
 
     std::printf("\nFig 6 (right): per-slice concurrency, distributed "
@@ -98,10 +99,10 @@ main(int argc, char **argv)
     for (const char *b : bucketNames)
         std::printf("%8s", b);
     std::printf("\n");
-    for (unsigned cores : sliceCounts) {
+    for (std::size_t i = 0; i < std::size(sliceCounts); ++i) {
         char label[32];
-        std::snprintf(label, sizeof(label), "%u", cores);
-        printBuckets(label, next, true);
+        std::snprintf(label, sizeof(label), "%u", sliceCounts[i]);
+        printBuckets(label, core_rows + i * block, true);
     }
     return 0;
 }

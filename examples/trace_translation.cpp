@@ -44,8 +44,8 @@ main(int argc, char **argv)
     sim::TraceRecorder::global().start();
 
     // 2. Configure a small NOCSTAR system: one app, 16 threads on
-    //    16 cores, epoch snapshots every 2000 cycles and counter
-    //    tracks sampled every 500.
+    //    16 cores, epoch snapshots every 2000 cycles. The active
+    //    recorder makes the run sample its counter tracks.
     cpu::SystemConfig config;
     config.org.kind = core::OrgKind::Nocstar;
     config.org.numCores = 16;
@@ -56,7 +56,6 @@ main(int argc, char **argv)
     config.seed = 12345;
     config.statsEpochInterval = 2000;
     config.statsJsonPath = "trace_translation_stats.json";
-    config.counterInterval = 500;
 
     // Fresh stats file: System::run appends (JSONL across a sweep).
     if (std::FILE *f = std::fopen("trace_translation_stats.json", "w"))

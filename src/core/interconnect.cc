@@ -24,6 +24,7 @@
 #include <bit>
 #include <limits>
 
+#include "noc/queued_mesh.hh"
 #include "sim/trace_recorder.hh"
 
 namespace nocstar::core
@@ -331,22 +332,14 @@ void
 Interconnect::degrade(CoreId src, Cycle now)
 {
     const Request &req = pending_[src].head->req;
-    // Deliver over the store-and-forward maintenance mesh instead
-    // (noc::QueuedMeshNetwork timing: router + wire cycle per hop, one
-    // flit per link-cycle). For round-trip messages only the forward
-    // trip is recosted; the caller's pre-granted-return accounting
-    // stands in for the response, which is an understatement we accept
-    // for a degraded corner.
-    Cycle t = now;
-    for (const noc::LinkId &link : topo_.xyPath(req.src, req.dst)) {
-        t += 1; // route compute / switch allocation
-        Cycle &free_at = meshLinkFree_[link.flatten()];
-        if (free_at > t)
-            t = free_at; // wait for the link
-        free_at = t + 1;
-        t += 1; // wire traversal
-    }
-    Cycle arrival = t;
+    // Deliver over the store-and-forward maintenance mesh instead, at
+    // the queued mesh's timing with one-cycle routers and wires. For
+    // round-trip messages only the forward trip is recosted; the
+    // caller's pre-granted-return accounting stands in for the
+    // response, which is an understatement we accept for a degraded
+    // corner.
+    const Cycle arrival = noc::queuedMeshArrival(topo_, meshLinkFree_,
+                                                 req.src, req.dst, now);
 
     ++degradedMessages;
     ++messagesSent;

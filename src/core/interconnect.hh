@@ -510,8 +510,8 @@ class Interconnect final : public stats::StatGroup
     std::vector<std::uint8_t> linkDeadPermanent_;
     /** Per (src, dst) pair: no circuit path survives route-around. */
     std::vector<std::uint8_t> pairDegraded_;
-    /** Per-link next-free cycle of the fallback mesh (QueuedMesh
-     * model: router + wire cycle per hop, one flit per link-cycle). */
+    /** Per-link next-free cycle of the fallback mesh, costed by
+     * noc::queuedMeshArrival(). */
     std::vector<Cycle> meshLinkFree_;
     /** linkDeadCycles is accounted through this cycle. */
     Cycle faultStatsThrough_ = 0;

@@ -22,8 +22,7 @@
 namespace nocstar::cpu
 {
 
-System::LatencyStats::LatencyStats(stats::StatGroup *parent,
-                                   std::size_t contexts)
+System::LatencyStats::LatencyStats(stats::StatGroup *parent)
     : stats::StatGroup("latency", parent),
       l1Hit(this, "l1_hit", "translation latency: L1 TLB hits"),
       l2HitLocal(this, "l2_hit_local",
@@ -35,17 +34,7 @@ System::LatencyStats::LatencyStats(stats::StatGroup *parent,
                 "translation latency: ECC retry / re-walk paths"),
       degraded(this, "degraded",
                "translation latency: mesh-fallback (degraded) paths")
-{
-    if (contexts) {
-        ctxGroup = std::make_unique<stats::StatGroup>("ctx", this);
-        byCtx.reserve(contexts);
-        for (std::size_t c = 0; c < contexts; ++c)
-            byCtx.push_back(std::make_unique<stats::Histogram>(
-                ctxGroup.get(), "ctx" + std::to_string(c),
-                "translation latency: context " + std::to_string(c) +
-                    ", all outcomes"));
-    }
-}
+{}
 
 stats::Histogram &
 System::LatencyStats::of(LatClass c)
@@ -274,9 +263,8 @@ System::System(const SystemConfig &config)
 
     org_ = core::makeOrganization(config.org, std::move(org_ctx), this);
 
-    if (config.latencyStats || config.latencyPerContext)
-        latency_ = std::make_unique<LatencyStats>(
-            this, config.latencyPerContext ? config.apps.size() : 0);
+    if (config.latencyStats)
+        latency_ = std::make_unique<LatencyStats>(this);
     if (config.sampling.enabled())
         samplingStats_ = std::make_unique<SamplingStats>(this);
     if (auto *nocstar = dynamic_cast<core::NocstarOrg *>(org_.get()))
@@ -433,7 +421,7 @@ System::step(std::size_t thread_index)
             [this, thread_index, vaddr,
              now](const core::TranslationResult &result) {
                 HwThread &th = threads_[thread_index];
-                recordMissLatency(thread_index, result, now);
+                recordMissLatency(result, now);
                 if (sim::recording())
                     sim::recorder().span(
                         sim::Lane::Translation, th.core,
@@ -452,17 +440,13 @@ System::step(std::size_t thread_index)
 
     // Translation overlapped with the L1 cache access: no stall
     // (the hit class records latency 0 for exactly that reason).
-    if (latency_) {
+    if (latency_)
         latency_->l1Hit.record(0);
-        if (!latency_->byCtx.empty())
-            latency_->byCtx[thread.ctx]->record(0);
-    }
     scheduleStep(thread_index, now + burstCycles(thread));
 }
 
 void
-System::recordMissLatency(std::size_t thread_index,
-                          const core::TranslationResult &result,
+System::recordMissLatency(const core::TranslationResult &result,
                           Cycle issued)
 {
     if (!latency_)
@@ -475,8 +459,6 @@ System::recordMissLatency(std::size_t thread_index,
         : result.remote                     ? LatClass::L2HitRemote
                                             : LatClass::L2HitLocal;
     latency_->of(cls).record(lat);
-    if (!latency_->byCtx.empty())
-        latency_->byCtx[threads_[thread_index].ctx]->record(lat);
 }
 
 void
@@ -508,9 +490,11 @@ System::every(Cycle period, Event::Priority prio, F body)
 void
 System::armObservers()
 {
+    // A traced run samples the counter tracks at this period;
     // lastPriority: a sample sees every event of its cycle.
-    if (config_.counterInterval != 0 && sim::recording())
-        every(config_.counterInterval, Event::lastPriority,
+    constexpr Cycle counterPeriod = 500;
+    if (sim::recording())
+        every(counterPeriod, Event::lastPriority,
               [this] { sampleCounters(queue_.curCycle()); });
     // Check the wall clock every few thousand cycles: frequent enough
     // that any human-scale period is honoured, rare enough that the
@@ -622,8 +606,6 @@ System::snapshotEpoch()
     dumpJson(os);
     os << "}";
     epochSnapshots_.push_back(os.str());
-    if (config_.statsEpochReset)
-        resetAll();
 }
 
 void
@@ -1318,6 +1300,7 @@ System::finishRun()
     if (auto *nocstar = dynamic_cast<core::NocstarOrg *>(org_.get())) {
         core::Interconnect &fabric = nocstar->fabric();
         result.fabricAvgLatency = fabric.averageLatency();
+        result.fabricMaxRetries = fabric.retryDistribution.maxSample();
         result.fabricNoContention = fabric.noContentionFraction();
         result.fabricSetupAttempts =
             static_cast<std::uint64_t>(fabric.setupAttempts.value());

@@ -135,14 +135,11 @@ struct SystemConfig
     /**
      * Snapshot the whole stats tree every N cycles during run()
      * (0 = off). Snapshots are collected in memory and emitted as the
-     * "epochs" array of the stats JSON document.
+     * "epochs" array of the stats JSON document. They are cumulative:
+     * an interval's values are the difference of two consecutive
+     * snapshots.
      */
     Cycle statsEpochInterval = 0;
-    /**
-     * Reset all stats after each epoch snapshot, turning snapshots
-     * into per-interval deltas instead of cumulative totals.
-     */
-    bool statsEpochReset = false;
     /**
      * If non-empty, append the stats JSON document (one line) to this
      * file after run(). One line per run: a single-run file is a valid
@@ -160,18 +157,6 @@ struct SystemConfig
      * are byte-identical to a build without the feature.
      */
     bool latencyStats = false;
-    /**
-     * Additionally keep one all-outcomes histogram per context (the
-     * future tenant key) under latency/ctx. Implies latencyStats.
-     */
-    bool latencyPerContext = false;
-    /**
-     * Sample observability counter tracks (event-queue depth, in-flight
-     * L2 misses, fabric links held) into the structured trace recorder
-     * at most every N cycles (0 = off). Needs an active recorder;
-     * samples render as Perfetto "ph":"C" counter tracks.
-     */
-    Cycle counterInterval = 0;
     /**
      * Emit a one-line wall-clock progress heartbeat to stderr at this
      * period in seconds (< 0 = off, the default; 0 = every check
@@ -244,6 +229,7 @@ struct RunResult
     double beyondL2Fraction = 0;
 
     double fabricAvgLatency = 0; ///< NOCSTAR only
+    double fabricMaxRetries = 0; ///< most retries of one message (NOCSTAR)
     double fabricNoContention = 0; ///< NOCSTAR only
     // Scaling-figure telemetry (NOCSTAR only; zero elsewhere).
     std::uint64_t fabricSetupAttempts = 0;
@@ -431,14 +417,12 @@ class System : public stats::StatGroup
 
     /**
      * The "latency" stats child group: per-outcome translation-latency
-     * histograms plus (optionally) one all-outcomes histogram per
-     * context. Created only when SystemConfig::latencyStats (or
-     * latencyPerContext) is set, so the stats tree is unchanged
-     * otherwise.
+     * histograms. Created only when SystemConfig::latencyStats is set,
+     * so the stats tree is unchanged otherwise.
      */
     struct LatencyStats : stats::StatGroup
     {
-        LatencyStats(stats::StatGroup *parent, std::size_t contexts);
+        explicit LatencyStats(stats::StatGroup *parent);
 
         stats::Histogram l1Hit;
         stats::Histogram l2HitLocal;
@@ -446,10 +430,6 @@ class System : public stats::StatGroup
         stats::Histogram walk;
         stats::Histogram eccRewalk;
         stats::Histogram degraded;
-        /** Non-null only with latencyPerContext: "ctx" child group. */
-        std::unique_ptr<stats::StatGroup> ctxGroup;
-        /** One all-outcomes histogram per context (may be empty). */
-        std::vector<std::unique_ptr<stats::Histogram>> byCtx;
 
         stats::Histogram &of(LatClass c);
     };
@@ -548,7 +528,7 @@ class System : public stats::StatGroup
     /** One storm remap and its timed shootdowns. */
     void stormOp();
 
-    /** Append one stats snapshot (and reset, if configured). */
+    /** Append one cumulative stats snapshot. */
     void snapshotEpoch();
 
     /**
@@ -556,16 +536,16 @@ class System : public stats::StatGroup
      * latency histograms (no-op when they are off). @p issued is the
      * cycle the access missed in the L1.
      */
-    void recordMissLatency(std::size_t thread_index,
-                           const core::TranslationResult &result,
+    void recordMissLatency(const core::TranslationResult &result,
                            Cycle issued);
 
     /** Sample the observability counter tracks at cycle @p at (the
-     * caller has already checked recording() and the interval). */
+     * caller has already checked recording()). */
     void sampleCounters(Cycle at);
 
-    /** Start the periodic counter-sampling and heartbeat events that
-     * are configured. */
+    /** Start the periodic events that observe a run: counter sampling
+     * while the trace recorder captures, and the heartbeat when it is
+     * configured. */
     void armObservers();
 
     /** Emit a heartbeat line if the wall-clock period elapsed (or
@@ -602,7 +582,7 @@ class System : public stats::StatGroup
     std::uint64_t ffAccessesDone_ = 0;
 
     // Observability state (all null / inert unless configured).
-    /** Latency histograms; null unless latencyStats/latencyPerContext. */
+    /** Latency histograms; null unless latencyStats. */
     std::unique_ptr<LatencyStats> latency_;
     /** Heartbeat bookkeeping; null unless progressSeconds >= 0. */
     std::unique_ptr<Progress> progress_;

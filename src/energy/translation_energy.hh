@@ -91,8 +91,6 @@ class TranslationEnergyModel
     double leakagePj() const { return leakagePj_; }
     double totalPj() const { return dynamicPj_ + leakagePj_; }
 
-    void reset() { dynamicPj_ = leakagePj_ = 0; }
-
   private:
     double dynamicPj_ = 0;
     double leakagePj_ = 0;

@@ -47,16 +47,6 @@ LatencyHistogram::merge(const LatencyHistogram &other)
         buckets_[i] += other.buckets_[i];
 }
 
-void
-LatencyHistogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    samples_ = 0;
-    sum_ = 0;
-    min_ = ~std::uint64_t{0};
-    max_ = 0;
-}
-
 } // namespace nocstar::sim
 
 namespace nocstar::stats

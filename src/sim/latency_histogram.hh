@@ -93,8 +93,6 @@ class LatencyHistogram
      */
     void merge(const LatencyHistogram &other);
 
-    void reset();
-
     bool
     operator==(const LatencyHistogram &other) const
     {
@@ -176,7 +174,6 @@ class Histogram : public Stat
 
     void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(std::ostream &os) const override;
-    void reset() override { hist_.reset(); }
 
   private:
     sim::LatencyHistogram hist_;

@@ -217,26 +217,6 @@ Distribution::dumpJson(std::ostream &os) const
     os << "]}";
 }
 
-void
-Distribution::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = overflow_ = samples_ = 0;
-    sum_ = minSample_ = maxSample_ = 0;
-}
-
-void
-Formula::dump(std::ostream &os, const std::string &prefix) const
-{
-    emitLine(os, prefix, name(), fn_(), desc());
-}
-
-void
-Formula::dumpJson(std::ostream &os) const
-{
-    json::number(os, fn_());
-}
-
 StatGroup::StatGroup(std::string name, StatGroup *parent)
     : name_(std::move(name)), parent_(parent)
 {
@@ -303,15 +283,6 @@ StatGroup::dumpJson(std::ostream &os) const
         child->dumpJson(os);
     }
     os << "}";
-}
-
-void
-StatGroup::resetAll()
-{
-    for (Stat *stat : statList_)
-        stat->reset();
-    for (StatGroup *child : children_)
-        child->resetAll();
 }
 
 const Stat *

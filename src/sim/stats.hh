@@ -4,8 +4,9 @@
  *
  * Stats register themselves with an owning StatGroup by name; groups dump
  * a flat, sorted, machine-parseable listing. Only the pieces the
- * simulator needs are implemented: scalars, vectors, distributions and
- * derived formulas.
+ * simulator needs are implemented: scalars, vectors and distributions.
+ * Stats only accumulate: an interval's values are the difference of
+ * two snapshots of the tree.
  */
 
 #ifndef NOCSTAR_SIM_STATS_HH
@@ -13,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -45,9 +45,6 @@ class Stat
     /** Write this stat's value as one JSON value (no name, no desc). */
     virtual void dumpJson(std::ostream &os) const = 0;
 
-    /** Reset to the just-constructed state. */
-    virtual void reset() = 0;
-
   private:
     std::string name_;
     std::string desc_;
@@ -67,7 +64,6 @@ class Scalar : public Stat
 
     void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(std::ostream &os) const override;
-    void reset() override { value_ = 0; }
 
   private:
     double value_ = 0;
@@ -90,7 +86,6 @@ class Vector : public Stat
 
     void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(std::ostream &os) const override;
-    void reset() override { std::fill(values_.begin(), values_.end(), 0.0); }
 
   private:
     std::vector<double> values_;
@@ -127,7 +122,6 @@ class Distribution : public Stat
 
     void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(std::ostream &os) const override;
-    void reset() override;
 
   private:
     double min_;
@@ -140,25 +134,6 @@ class Distribution : public Stat
     double sum_ = 0;
     double minSample_ = 0;
     double maxSample_ = 0;
-};
-
-/** A value computed on demand from other stats. */
-class Formula : public Stat
-{
-  public:
-    Formula(StatGroup *parent, std::string name, std::string desc,
-            std::function<double()> fn)
-        : Stat(parent, std::move(name), std::move(desc)), fn_(std::move(fn))
-    {}
-
-    double value() const { return fn_(); }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void dumpJson(std::ostream &os) const override;
-    void reset() override {}
-
-  private:
-    std::function<double()> fn_;
 };
 
 /**
@@ -185,9 +160,6 @@ class StatGroup
      * epoch-snapshot mechanism.
      */
     void dumpJson(std::ostream &os) const;
-
-    /** Reset this group's stats and all children. */
-    void resetAll();
 
     /** Look up a stat by name in this group only (nullptr if missing). */
     const Stat *find(const std::string &name) const;

@@ -50,7 +50,10 @@ TraceRecorder::start(std::size_t capacity)
     wrapped_ = false;
     total_ = 0;
     enabled_ = true;
-    detail::recordingActive = true;
+    // The instrumentation points record into the global recorder
+    // only, so only it opens their gate.
+    if (this == &global())
+        detail::recordingActive = true;
 }
 
 void
@@ -58,7 +61,8 @@ TraceRecorder::stop()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     enabled_ = false;
-    detail::recordingActive = false;
+    if (this == &global())
+        detail::recordingActive = false;
 }
 
 void

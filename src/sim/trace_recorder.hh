@@ -78,10 +78,12 @@ class TraceRecorder
     /** The process-wide recorder used by the instrumentation points. */
     static TraceRecorder &global();
 
-    /** Begin capturing, with room for @p capacity records. */
+    /** Begin capturing, with room for @p capacity records. On the
+     * global recorder this also turns recording() on. */
     void start(std::size_t capacity = defaultCapacity);
 
-    /** Stop capturing (records are kept until clear()/start()). */
+    /** Stop capturing (records are kept until clear()/start()). On
+     * the global recorder this also turns recording() off. */
     void stop();
 
     bool enabled() const { return enabled_; }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string_view>
@@ -172,6 +173,49 @@ TEST(TraceRecorderTest, GlobalGateTracksStartStop)
     sim::TraceRecorder::global().stop();
     EXPECT_FALSE(sim::recording());
     sim::TraceRecorder::global().clear();
+}
+
+TEST(TraceRecorderTest, LocalRecorderLeavesGlobalGateAlone)
+{
+    sim::TraceRecorder rec;
+    EXPECT_FALSE(sim::recording());
+    rec.start(4);
+    EXPECT_TRUE(rec.enabled());
+    EXPECT_FALSE(sim::recording());
+    rec.stop();
+    EXPECT_FALSE(sim::recording());
+}
+
+TEST(TraceRecorderTest, TracedRunSamplesCountersEvery500Cycles)
+{
+    cpu::SystemConfig config;
+    config.org.kind = core::OrgKind::Nocstar;
+    config.org.numCores = 16;
+    cpu::AppConfig app;
+    app.spec = workload::findWorkload("graph500");
+    app.threads = 16;
+    config.apps.push_back(app);
+
+    sim::TraceRecorder &rec = sim::TraceRecorder::global();
+    rec.start();
+    cpu::System system(config);
+    system.run(2000);
+    rec.stop();
+    const auto records = rec.snapshot();
+    rec.clear();
+
+    // Queue depth, in-flight L2 misses and fabric links held, each
+    // sampled at every multiple of 500 cycles while the run lasts.
+    std::map<std::string_view, std::vector<Cycle>> tracks;
+    for (const sim::TraceRecorder::Record &r : records)
+        if (r.kind == sim::TraceRecorder::Kind::Counter)
+            tracks[r.name].push_back(r.start);
+    EXPECT_EQ(tracks.size(), 3u);
+    for (const auto &[name, cycles] : tracks) {
+        EXPECT_GT(cycles.size(), 1u) << name;
+        for (std::size_t i = 0; i < cycles.size(); ++i)
+            EXPECT_EQ(cycles[i], 500 * (i + 1)) << name;
+    }
 }
 
 TEST(TraceRecorderTest, NocstarStormRunRecordsEveryEventKind)

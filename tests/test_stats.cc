@@ -23,8 +23,6 @@ TEST(Stats, ScalarAccumulates)
     EXPECT_DOUBLE_EQ(s.value(), 3.5);
     s = 7;
     EXPECT_DOUBLE_EQ(s.value(), 7.0);
-    s.reset();
-    EXPECT_EQ(s.value(), 0.0);
 }
 
 TEST(Stats, VectorIndexingAndTotal)
@@ -35,8 +33,6 @@ TEST(Stats, VectorIndexingAndTotal)
     v[3] = 9;
     EXPECT_DOUBLE_EQ(v.total(), 10.0);
     EXPECT_THROW(v[4], std::out_of_range);
-    v.reset();
-    EXPECT_DOUBLE_EQ(v.total(), 0.0);
 }
 
 TEST(Stats, DistributionBucketsAndMoments)
@@ -95,41 +91,6 @@ TEST(Stats, DistributionFirstSampleSetsExtrema)
     EXPECT_DOUBLE_EQ(e.maxSample(), -4.0);
 }
 
-TEST(Stats, DistributionResetThenSample)
-{
-    StatGroup group("g");
-    Distribution d(&group, "d", "x", 0, 10, 2);
-    d.sample(1);
-    d.sample(9);
-    d.sample(-1);
-    d.sample(11);
-    d.reset();
-    EXPECT_EQ(d.numSamples(), 0u);
-    EXPECT_EQ(d.underflow(), 0u);
-    EXPECT_EQ(d.overflow(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    // Extrema must re-latch from the first post-reset sample.
-    d.sample(5);
-    EXPECT_EQ(d.numSamples(), 1u);
-    EXPECT_DOUBLE_EQ(d.minSample(), 5.0);
-    EXPECT_DOUBLE_EQ(d.maxSample(), 5.0);
-    EXPECT_EQ(d.buckets()[2], 1u);
-}
-
-TEST(Stats, FormulaComputesOnDemand)
-{
-    StatGroup group("g");
-    Scalar hits(&group, "hits", "h");
-    Scalar total(&group, "total", "t");
-    Formula rate(&group, "rate", "hit rate", [&] {
-        return total.value() > 0 ? hits.value() / total.value() : 0.0;
-    });
-    EXPECT_EQ(rate.value(), 0.0);
-    hits += 3;
-    total += 4;
-    EXPECT_DOUBLE_EQ(rate.value(), 0.75);
-}
-
 TEST(Stats, DuplicateNamePanics)
 {
     StatGroup group("g");
@@ -166,27 +127,13 @@ TEST(Stats, DumpIncludesHierarchy)
     EXPECT_NE(text.find("# top level"), std::string::npos);
 }
 
-TEST(Stats, ResetAllRecurses)
-{
-    StatGroup parent("root");
-    StatGroup child("leaf", &parent);
-    Scalar a(&parent, "a", "top");
-    Scalar b(&child, "b", "nested");
-    a += 5;
-    b += 5;
-    parent.resetAll();
-    EXPECT_EQ(a.value(), 0.0);
-    EXPECT_EQ(b.value(), 0.0);
-}
-
-TEST(Stats, DumpJsonScalarVectorFormula)
+TEST(Stats, DumpJsonScalarVector)
 {
     StatGroup group("g");
     Scalar s(&group, "s", "scalar");
     s += 2.5;
     Vector v(&group, "v", "vector", 3);
     v[1] = 4;
-    Formula f(&group, "f", "formula", [] { return 0.5; });
 
     std::ostringstream os;
     group.dumpJson(os);
@@ -195,7 +142,6 @@ TEST(Stats, DumpJsonScalarVectorFormula)
     EXPECT_NE(text.find("\"v\":{\"values\":[0,4,0],\"total\":4}"),
               std::string::npos)
         << text;
-    EXPECT_NE(text.find("\"f\":0.5"), std::string::npos) << text;
 }
 
 TEST(Stats, PercentilePointMassReportsBucketValue)
