@@ -37,7 +37,7 @@ runPoint(double rate, Cycle horizon)
         EventQueue queue;
         stats::StatGroup root("root");
         core::Interconnect fabric("fabric", queue, topo,
-                                  core::FabricConfig{}, &root);
+                                  core::OrgConfig{}, &root);
         Random rng(1234);
         for (Cycle t = 0; t < horizon; ++t) {
             for (CoreId src = 0; src < 64; ++src) {

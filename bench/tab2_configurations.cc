@@ -6,11 +6,9 @@
  */
 
 #include <cstdio>
-#include <initializer_list>
 
-#include "bench/arg_parser.hh"
-#include "core/config.hh"
-#include "energy/area.hh"
+#include "bench/bench_common.hh"
+#include "core/monolithic_org.hh"
 #include "energy/sram_model.hh"
 
 using namespace nocstar;
@@ -25,7 +23,7 @@ main(int argc, char **argv)
         "Table II: simulated last-level TLB configurations");
     parser.positional("CORES", &cores, "core count (default 32)");
     parser.parseOrExit(argc, argv);
-    unsigned banks = cores >= 64 ? 8 : 4;
+    unsigned banks = bench::banksFor(cores);
 
     std::printf("Table II: simulated TLB configurations (%u cores)\n",
                 cores);
@@ -33,29 +31,26 @@ main(int argc, char **argv)
                 "L2 entries", "physical org", "interconnect",
                 "lookup");
 
-    OrgConfig config;
-    config.numCores = cores;
-    config.banks = banks;
-
     auto lookup = [](std::uint64_t entries) {
         return static_cast<unsigned long long>(
             energy::SramModel::accessLatency(entries));
     };
+    const unsigned long long entries = OrgConfig::l2Entries;
+    const unsigned long long slice = OrgConfig{}.nocstarSliceEntries;
 
-    std::printf("%-14s %16u %18s %-22s %8llu\n", "private", 1024u,
-                "1 TLB per core", "-", lookup(1024));
-    std::uint64_t total = 1024ull * cores;
+    std::printf("%-14s %16llu %18s %-22s %8llu\n", "private", entries,
+                "1 TLB per core", "-", lookup(entries));
     std::printf("%-14s %12llux%-3u %18s %-22s %8llu\n", "monolithic",
-                1024ull, cores, "banked monolithic",
-                "mesh (multi-hop), SMART", lookup(total / banks));
+                entries, cores, "banked monolithic",
+                "mesh (multi-hop), SMART",
+                static_cast<unsigned long long>(
+                    MonolithicOrg::lookupLatency(cores)));
     std::printf("%-14s %12llux%-3u %18s %-22s %8llu\n", "distributed",
-                1024ull, cores, "1 slice per core", "mesh (multi-hop)",
-                lookup(1024));
-    std::uint64_t slice =
-        energy::TileAreaReport::areaEquivalentSliceEntries(1024);
+                entries, cores, "1 slice per core", "mesh (multi-hop)",
+                lookup(entries));
     std::printf("%-14s %12llux%-3u %18s %-22s %8llu\n", "NOCSTAR",
-                static_cast<unsigned long long>(slice), cores,
-                "1 slice per core", "NOCSTAR fabric", lookup(slice));
+                slice, cores, "1 slice per core", "NOCSTAR fabric",
+                lookup(slice));
     std::printf("\nmonolithic banks: %u; NOCSTAR slice is "
                 "area-equivalent (interconnect area deducted)\n",
                 banks);

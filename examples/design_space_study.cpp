@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "bench/arg_parser.hh"
+#include "bench/bench_common.hh"
 #include "cpu/system.hh"
 
 using namespace nocstar;
@@ -23,18 +23,9 @@ cpu::RunResult
 run(core::OrgKind kind, unsigned cores,
     const workload::WorkloadSpec &spec, std::uint64_t accesses)
 {
-    cpu::SystemConfig config;
-    config.org.kind = kind;
-    config.org.numCores = cores;
-    config.org.banks = cores >= 64 ? 8 : 4;
-    {
-        cpu::AppConfig app_config;
-        app_config.spec = spec;
-        app_config.threads = cores;
-        config.apps.push_back(std::move(app_config));
-    }
-    config.seed = 21;
-    cpu::System system(config);
+    cpu::System system(bench::makeConfig(kind, cores, spec,
+                                         /*superpages=*/true,
+                                         /*seed=*/21));
     return system.run(accesses);
 }
 

@@ -11,7 +11,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "bench/arg_parser.hh"
+#include "bench/bench_common.hh"
 #include "cpu/system.hh"
 
 using namespace nocstar;
@@ -37,16 +37,8 @@ main(int argc, char **argv)
     // 2. Describe the machine: 16 cores, one thread per core, NOCSTAR
     //    organization with its 920-entry area-normalized slices over
     //    the single-cycle circuit-switched fabric.
-    cpu::SystemConfig config;
-    config.org.kind = core::OrgKind::Nocstar;
-    config.org.numCores = 16;
-    {
-        cpu::AppConfig app_config;
-        app_config.spec = spec;
-        app_config.threads = 16;
-        config.apps.push_back(std::move(app_config));
-    }
-    config.seed = 1;
+    cpu::SystemConfig config = bench::makeConfig(
+        core::OrgKind::Nocstar, 16, spec, /*superpages=*/true, /*seed=*/1);
 
     // 3. Run, and compare against the private-L2-TLB baseline.
     cpu::System nocstar_system(config);

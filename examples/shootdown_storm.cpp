@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "bench/arg_parser.hh"
+#include "bench/bench_common.hh"
 #include "cpu/system.hh"
 
 using namespace nocstar;
@@ -41,17 +41,10 @@ main(int argc, char **argv)
 
     double quiet_cycles = 0;
     {
-        cpu::SystemConfig config;
-        config.org.kind = core::OrgKind::Nocstar;
-        config.org.numCores = cores;
-        {
-        cpu::AppConfig app_config;
-        app_config.spec = spec;
-        app_config.threads = cores;
-        config.apps.push_back(std::move(app_config));
-    }
-        config.seed = 5;
-        cpu::System system(config);
+        cpu::System system(bench::makeConfig(core::OrgKind::Nocstar,
+                                             cores, spec,
+                                             /*superpages=*/true,
+                                             /*seed=*/5));
         auto result = system.run(accesses);
         quiet_cycles = result.meanCycles;
         std::printf("%-10s %12.0f %14llu %16s %12s\n", "no-storm",
@@ -69,17 +62,10 @@ main(int argc, char **argv)
         {"direct", 0}, {"per-4", 4}, {"per-8", 8}, {"per-N", cores}};
 
     for (const Policy &policy : policies) {
-        cpu::SystemConfig config;
-        config.org.kind = core::OrgKind::Nocstar;
-        config.org.numCores = cores;
+        cpu::SystemConfig config = bench::makeConfig(
+            core::OrgKind::Nocstar, cores, spec, /*superpages=*/true,
+            /*seed=*/5);
         config.org.invalLeaderGroup = policy.group;
-        {
-        cpu::AppConfig app_config;
-        app_config.spec = spec;
-        app_config.threads = cores;
-        config.apps.push_back(std::move(app_config));
-    }
-        config.seed = 5;
         config.contextSwitchInterval = 50000;
         config.stormRemapInterval = 3000;
         config.stormMessagesPerOp = 8;

@@ -56,8 +56,9 @@ struct OrgConfig
     unsigned numCores = 16;
 
     /** Private / distributed slice capacity (Table II: 1024, 8-way). */
-    std::uint32_t l2Entries = 1024;
-    std::uint32_t l2Assoc = 8;
+    static constexpr std::uint32_t l2Entries = 1024;
+    static constexpr std::uint32_t l2Assoc = 8;
+    static_assert(l2Entries % l2Assoc == 0);
     /** Area-normalized NOCSTAR slice capacity (Table II: 920). */
     std::uint32_t nocstarSliceEntries = 920;
 
@@ -97,10 +98,10 @@ struct OrgConfig
     unsigned invalLeaderGroup = 0;
 
     /** New lookups a slice / bank can start per cycle (read ports). */
-    unsigned readPortsPerCycle = 2;
+    static constexpr unsigned readPortsPerCycle = 2;
 
     /** Extra cycle between L1 miss detection and L2/path initiation. */
-    Cycle initiateLatency = 1;
+    static constexpr Cycle initiateLatency = 1;
 
     /**
      * Fault-injection scenario plus the resilience policy responding

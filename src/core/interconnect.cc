@@ -32,7 +32,7 @@ namespace nocstar::core
 
 Interconnect::Interconnect(const std::string &name, EventQueue &queue,
                            const noc::GridTopology &topo,
-                           const FabricConfig &config,
+                           const OrgConfig &config,
                            stats::StatGroup *parent)
     : stats::StatGroup(name, parent),
       messagesSent(this, "messages", "messages delivered"),
@@ -72,15 +72,13 @@ Interconnect::Interconnect(const std::string &name, EventQueue &queue,
 {
     if (config_.hpcMax == 0)
         fatal("NOCSTAR fabric needs hpcMax >= 1");
-    if (config_.faults && config_.faults->empty())
-        config_.faults = nullptr;
     contenders_.reserve(topo_.numTiles());
     if (config_.recordGrantWait)
         grantWait_ = std::make_unique<std::vector<sim::LatencyHistogram>>(
             topo_.numTiles());
 
-    if (config_.faults) {
-        const sim::FaultPlan &plan = *config_.faults;
+    if (!config_.faults.empty()) {
+        const sim::FaultPlan &plan = config_.faults;
         if (std::vector<std::string> errors =
                 plan.validate(topo_.linkIndexSpace());
             !errors.empty())
@@ -431,7 +429,7 @@ Interconnect::tryAcquire(const Request &req, Cycle now)
     // access and the response traversal.
     Cycle hold = req.roundTrip ? 2 * traversal + req.holdExtra : traversal;
 
-    if (!config_.ideal) {
+    if (config_.kind != OrgKind::NocstarIdeal) {
         for (std::uint32_t link : path) {
             if (linkHeldUntil_[link] > now) {
                 linkDenies[link] += 1;
@@ -589,13 +587,7 @@ makeInterconnect(const std::string &name, EventQueue &queue,
                  const noc::GridTopology &topo, const OrgConfig &config,
                  stats::StatGroup *parent)
 {
-    FabricConfig fabric;
-    fabric.hpcMax = config.hpcMax;
-    fabric.priorityEpoch = config.priorityEpoch;
-    fabric.ideal = config.kind == OrgKind::NocstarIdeal;
-    fabric.faults = config.faults.empty() ? nullptr : &config.faults;
-    fabric.recordGrantWait = config.recordGrantWait;
-    return std::make_unique<Interconnect>(name, queue, topo, fabric,
+    return std::make_unique<Interconnect>(name, queue, topo, config,
                                           parent);
 }
 

@@ -55,28 +55,6 @@
 namespace nocstar::core
 {
 
-/** Fabric tuning knobs. */
-struct FabricConfig
-{
-    unsigned hpcMax = 16;
-    Cycle priorityEpoch = 1000;
-    /** Contention-free mode: every setup succeeds (NOCSTAR-ideal). */
-    bool ideal = false;
-    /**
-     * Fault-injection plan (not owned; must outlive the fabric).
-     * Null or empty means no fault machinery is instantiated and
-     * every hot path behaves exactly as a fault-free build.
-     */
-    const sim::FaultPlan *faults = nullptr;
-    /**
-     * Keep one grant-wait histogram per source tile (cycles from
-     * send() to path grant), for the priority-rotation fairness
-     * figure. Host-side only -- simulated timing and the stats tree
-     * are byte-identical with it off (the default).
-     */
-    bool recordGrantWait = false;
-};
-
 /**
  * The event-driven NOCSTAR fabric: request queues, priority rotation,
  * retry/backoff/watchdog, mesh fallback and the XY path model.
@@ -104,9 +82,10 @@ class Interconnect final : public stats::StatGroup
      */
     static constexpr unsigned kPathTableMaxTiles = 256;
 
+    /** Reads @p config's hpcMax, priorityEpoch, faults and
+     * recordGrantWait; kind NocstarIdeal makes every setup succeed. */
     Interconnect(const std::string &name, EventQueue &queue,
-                 const noc::GridTopology &topo,
-                 const FabricConfig &config,
+                 const noc::GridTopology &topo, const OrgConfig &config,
                  stats::StatGroup *parent = nullptr);
 
     ~Interconnect() override;
@@ -256,7 +235,7 @@ class Interconnect final : public stats::StatGroup
         return n > 0 ? setupFailures.value() / n : 0.0;
     }
 
-    /** Non-null when FabricConfig::recordGrantWait was set: one
+    /** Non-null when OrgConfig::recordGrantWait was set: one
      * histogram of send()-to-grant waits per source tile. */
     const sim::LatencyHistogram *
     grantWaitOf(CoreId src) const
@@ -464,7 +443,7 @@ class Interconnect final : public stats::StatGroup
 
     EventQueue &queue_;
     noc::GridTopology topo_;
-    FabricConfig config_;
+    OrgConfig config_;
 
     /** Cycle through which each directed link is held (exclusive). */
     std::vector<Cycle> linkHeldUntil_;
@@ -522,12 +501,7 @@ class Interconnect final : public stats::StatGroup
     std::unique_ptr<std::vector<sim::LatencyHistogram>> grantWait_;
 };
 
-/**
- * The fabric of a NOCSTAR organization, configured from @p config
- * (hpcMax, priorityEpoch, ideal mode for NocstarIdeal, the fault plan
- * and grant-wait recording). @p config must outlive the fabric (the
- * fault plan is referenced, not copied).
- */
+/** The fabric of a NOCSTAR organization configured by @p config. */
 std::unique_ptr<Interconnect>
 makeInterconnect(const std::string &name, EventQueue &queue,
                  const noc::GridTopology &topo, const OrgConfig &config,

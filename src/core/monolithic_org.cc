@@ -25,11 +25,7 @@ MonolithicOrg::MonolithicOrg(const OrgConfig &config, OrgContext context,
         static_cast<std::uint32_t>(total / config.banks);
     per_bank -= per_bank % config.l2Assoc;
     addArrays("bank", config.banks, per_bank);
-    // Banking multiplies ports (each bank accepts its own request per
-    // cycle) but the read still traverses the full structure's
-    // decode / H-tree / sense path, so the access latency is that of
-    // the whole array (paper Fig 11a: ~15 cycles at 32x, hops = 0).
-    bankLatency_ = energy::SramModel::accessLatency(total);
+    bankLatency_ = lookupLatency(config.numCores);
 
     // The structure sits at one end of the chip (paper §II-C: "the
     // entire structure was placed at one end"): middle of the bottom
@@ -43,6 +39,13 @@ MonolithicOrg::MonolithicOrg(const OrgConfig &config, OrgContext context,
     else
         network_ = std::make_unique<noc::MeshNetwork>("mesh", topo_,
                                                       this);
+}
+
+Cycle
+MonolithicOrg::lookupLatency(unsigned num_cores)
+{
+    return energy::SramModel::accessLatency(
+        std::uint64_t{OrgConfig::l2Entries} * num_cores);
 }
 
 void

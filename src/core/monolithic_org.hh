@@ -39,6 +39,16 @@ class MonolithicOrg final : public TlbOrganization
 
     Cycle bankLatency() const { return bankLatency_; }
 
+    /**
+     * SRAM lookup latency of the structure on @p num_cores cores.
+     * Banking multiplies ports (each bank accepts its own request per
+     * cycle) but the read still traverses the full structure's
+     * decode / H-tree / sense path, so the latency is that of the
+     * whole num_cores x l2Entries array (paper Fig 11a: ~15 cycles
+     * at 32x, hops = 0).
+     */
+    static Cycle lookupLatency(unsigned num_cores);
+
   private:
     noc::GridTopology topo_;
     std::unique_ptr<noc::Network> network_;

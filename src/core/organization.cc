@@ -35,16 +35,6 @@ OrgConfig::validate() const
     std::vector<std::string> errors;
     if (numCores == 0)
         errors.push_back("numCores must be >= 1");
-    if (l2Entries == 0)
-        errors.push_back("l2Entries must be >= 1");
-    if (l2Assoc == 0)
-        errors.push_back("l2Assoc must be >= 1");
-    if (l2Assoc != 0 && l2Entries % l2Assoc != 0)
-        errors.push_back(strCat("l2Entries (", l2Entries,
-                                ") not a multiple of l2Assoc (",
-                                l2Assoc, ")"));
-    if (readPortsPerCycle == 0)
-        errors.push_back("readPortsPerCycle must be >= 1");
     if (prefetchDistance > maxPrefetchDistance)
         errors.push_back(strCat("prefetchDistance (", prefetchDistance,
                                 ") outside 0..", maxPrefetchDistance));
@@ -56,7 +46,7 @@ OrgConfig::validate() const
     if (nocstar) {
         if (nocstarSliceEntries == 0)
             errors.push_back("nocstarSliceEntries must be >= 1");
-        else if (l2Assoc != 0 && nocstarSliceEntries % l2Assoc != 0)
+        else if (nocstarSliceEntries % l2Assoc != 0)
             errors.push_back(
                 strCat("nocstarSliceEntries (", nocstarSliceEntries,
                        ") not a multiple of l2Assoc (", l2Assoc, ")"));

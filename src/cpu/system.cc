@@ -136,17 +136,11 @@ SystemConfig::validate() const
     else if (org.numCores > 0 && total_threads > smtSlots())
         errors.push_back(strCat("total threads (", total_threads,
                                 ") exceed SMT slots (", smtSlots(), ")"));
-    if (hotspotFraction < 0.0 || hotspotFraction > 1.0)
-        errors.push_back(strCat("hotspotFraction ", hotspotFraction,
-                                " outside [0, 1]"));
     if (hotspotSlice >= 0 &&
         static_cast<unsigned>(hotspotSlice) >= org.numCores)
         errors.push_back(strCat("hotspotSlice ", hotspotSlice,
                                 " beyond the last core (",
                                 org.numCores, " cores)"));
-    if (walker.eccRetryProb < 0.0 || walker.eccRetryProb > 1.0)
-        errors.push_back(strCat("walker.eccRetryProb ",
-                                walker.eccRetryProb, " outside [0, 1]"));
 
     if (sampling.enabled()) {
         if (sampling.windows < 2)
@@ -237,21 +231,10 @@ System::System(const SystemConfig &config)
     org_ctx.queue = &queue_;
     org_ctx.pageTable = pageTable_.get();
     org_ctx.energy = &energy_;
-    mem::WalkerConfig walker_config = config.walker;
-    if (config.org.faults.walkEccProb > 0)
-        walker_config.eccRetryProb = config.org.faults.walkEccProb;
     for (CoreId c = 0; c < cores; ++c) {
-        // Distinct per-walker ECC stream, derived from the plan seed
-        // so a fixed (plan, seed) pair replays exactly.
-        walker_config.eccSeed =
-            config.org.faults.seed ^
-            (static_cast<std::uint64_t>(
-                 sim::FaultInjector::Stream::WalkEcc)
-             << 32) ^
-            (c * 0x9e3779b97f4a7c15ULL + 1);
         walkers_.push_back(std::make_unique<mem::PageTableWalker>(
             "walker" + std::to_string(c), c, *pageTable_, *caches_,
-            walker_config, this));
+            config.walker, this, &config_.org.faults));
         org_ctx.walkers.push_back(walkers_.back().get());
         l1s_.push_back(std::make_unique<tlb::L1TlbGroup>(
             "l1_core" + std::to_string(c), config.l1, this));
@@ -976,7 +959,6 @@ System::saveCheckpoint(const std::string &path)
     w.end();
 
     w.save(path);
-    checkpointBytes_ = w.sizeBytes();
     inform("checkpoint: saved ", w.sizeBytes(), " bytes to ", path);
 }
 
@@ -1088,7 +1070,6 @@ System::memoryAudit() const
     audit.cacheModelBytes = caches_->memoryBytes();
     if (counterFabric_)
         audit.fabricBytes = counterFabric_->memoryBytes();
-    audit.checkpointBytes = checkpointBytes_;
     return audit;
 }
 

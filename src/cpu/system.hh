@@ -77,7 +77,7 @@ struct SamplingConfig
     /** Per-thread accesses fast-forwarded before the first window. */
     std::uint64_t warmupAccesses = 0;
     /** Seed of the window-placement jitter stream. */
-    std::uint64_t seed = 1;
+    static constexpr std::uint64_t seed = 1;
 
     bool enabled() const { return windows > 0; }
 };
@@ -99,7 +99,7 @@ struct SystemConfig
     std::uint64_t seed = 1;
 
     /** Cycles charged to a core per foreign PTE fill (Fig 17). */
-    Cycle pollutionPenalty = 15;
+    static constexpr Cycle pollutionPenalty = 15;
 
     /** Flush all TLBs this often (0 = never; storm runs use 1M). */
     Cycle contextSwitchInterval = 0;
@@ -109,7 +109,7 @@ struct SystemConfig
     /** Timed slice-invalidation messages modelled per storm op. */
     unsigned stormMessagesPerOp = 16;
     /** Cycles an IPI pauses each sharer thread. */
-    Cycle ipiPauseCycles = 30;
+    static constexpr Cycle ipiPauseCycles = 30;
 
     /**
      * Slice-hotspot microbenchmark (paper §V, "TLB slice
@@ -120,9 +120,9 @@ struct SystemConfig
      */
     int hotspotSlice = -1;
     /** Fraction of accesses redirected at the hotspot slice. */
-    double hotspotFraction = 0.3;
+    static constexpr double hotspotFraction = 0.3;
     /** Pages in the hotspot pool (kept below one slice's capacity). */
-    unsigned hotspotPages = 256;
+    static constexpr unsigned hotspotPages = 256;
 
     /**
      * If non-empty, capture every generated address as a trace record
@@ -337,14 +337,12 @@ class System : public stats::StatGroup
         std::size_t cacheModelBytes = 0;
         /** Fabric arbitration state + path tables (NOCSTAR only). */
         std::size_t fabricBytes = 0;
-        /** Serialized size of the last checkpoint written (0 if none). */
-        std::size_t checkpointBytes = 0;
 
         std::size_t
         total() const
         {
             return orgArrayBytes + l1Bytes + pageTableBytes +
-                   cacheModelBytes + fabricBytes + checkpointBytes;
+                   cacheModelBytes + fabricBytes;
         }
     };
 
@@ -576,8 +574,6 @@ class System : public stats::StatGroup
     // Sampled-simulation / checkpoint state (inert unless configured).
     /** Sampling stats group; null unless sampling is enabled. */
     std::unique_ptr<SamplingStats> samplingStats_;
-    /** Serialized size of the last checkpoint written (memory audit). */
-    std::size_t checkpointBytes_ = 0;
     /** Total accesses fast-forwarded functionally this run. */
     std::uint64_t ffAccessesDone_ = 0;
 

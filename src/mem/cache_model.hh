@@ -43,12 +43,12 @@ struct CacheAccessResult
     bool filledL2 = false;
 };
 
-/** Timing / sizing knobs for the walk service hierarchy. */
+/** Walk service hierarchy: fixed latencies, sizable line stores. */
 struct CacheModelConfig
 {
-    Cycle l2Latency = 12;
-    Cycle llcLatency = 50;
-    Cycle dramLatency = 250;
+    static constexpr Cycle l2Latency = 12;
+    static constexpr Cycle llcLatency = 50;
+    static constexpr Cycle dramLatency = 250;
     /** PTE-line capacity of one core's L2 (lines). */
     std::uint32_t l2Lines = 768;
     /** PTE-line capacity of the shared LLC (lines). */

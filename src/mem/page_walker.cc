@@ -33,18 +33,22 @@ PageTableWalker::Psc::fill(std::uint64_t key, Cycle now)
 PageTableWalker::PageTableWalker(const std::string &name, CoreId core,
                                  PageTable &table, CacheModel &caches,
                                  const WalkerConfig &config,
-                                 stats::StatGroup *parent)
+                                 stats::StatGroup *parent,
+                                 const sim::FaultPlan *faults)
     : stats::StatGroup(name, parent),
       walks(this, "walks", "page table walks performed"),
       walkCycles(this, "walk_cycles", "cycles spent walking"),
       queueCycles(this, "queue_cycles", "cycles walks waited for walker"),
       eccRewalks(this, "ecc_rewalks",
                  "walks redone for page-table ECC errors"),
-      core_(core), table_(table), caches_(caches), config_(config),
-      eccRng_(config.eccSeed)
+      core_(core), table_(table), caches_(caches), config_(config)
 {
     for (auto &psc : psc_)
         psc.maxEntries = config.pscEntriesPerLevel;
+    if (faults && faults->walkEccProb > 0)
+        eccFaults_ = std::make_unique<sim::FaultInjector>(
+            *faults, sim::FaultInjector::Stream::WalkEcc,
+            core * 0x9e3779b97f4a7c15ULL + 1);
 }
 
 WalkResult
@@ -96,9 +100,8 @@ PageTableWalker::walk(ContextId ctx, Addr vaddr, CoreId requester_core,
     // Fault injection: a corrupt page-table read forces the whole walk
     // to rerun. Approximated as a second back-to-back walk of the same
     // cost (the PSCs and caches are now warm in reality, so this is a
-    // mild overstatement). Never draws when the probability is zero.
-    if (config_.eccRetryProb > 0 &&
-        eccRng_.chance(config_.eccRetryProb)) {
+    // mild overstatement). Never draws without a walk-ECC plan.
+    if (eccFaults_ && eccFaults_->walkEcc()) {
         ++eccRewalks;
         result.walkLatency *= 2;
         result.eccRetried = true;

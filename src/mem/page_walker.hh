@@ -19,12 +19,13 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 
 #include "mem/cache_model.hh"
 #include "mem/page_table.hh"
+#include "sim/fault.hh"
 #include "sim/flat_map.hh"
-#include "sim/random.hh"
 #include "sim/stats.hh"
 
 namespace nocstar::mem
@@ -36,17 +37,9 @@ struct WalkerConfig
     /** If nonzero, every walk takes exactly this many cycles. */
     Cycle fixedLatency = 0;
     /** Paging-structure-cache entries per upper level. */
-    std::uint32_t pscEntriesPerLevel = 32;
+    static constexpr std::uint32_t pscEntriesPerLevel = 32;
     /** Cycles per PSC-hit level (tag match, pipelined). */
-    Cycle pscHitLatency = 1;
-    /**
-     * Fault injection: probability a completed walk read a corrupt
-     * (ECC) page-table line and must be redone from scratch. Zero
-     * (the default) never draws from the random stream.
-     */
-    double eccRetryProb = 0;
-    /** Seed for the ECC draw stream (distinct per walker). */
-    std::uint64_t eccSeed = 0;
+    static constexpr Cycle pscHitLatency = 1;
 };
 
 /** Outcome of one page-table walk. */
@@ -74,10 +67,14 @@ struct WalkResult
 class PageTableWalker : public stats::StatGroup
 {
   public:
+    /** A plan in @p faults that injects walk ECC gives this walker
+     * its own draw stream, salted by @p core; without one it never
+     * draws. */
     PageTableWalker(const std::string &name, CoreId core,
                     PageTable &table, CacheModel &caches,
                     const WalkerConfig &config,
-                    stats::StatGroup *parent = nullptr);
+                    stats::StatGroup *parent = nullptr,
+                    const sim::FaultPlan *faults = nullptr);
 
     /**
      * Perform a walk starting at @p now on behalf of
@@ -131,8 +128,8 @@ class PageTableWalker : public stats::StatGroup
     WalkerConfig config_;
     Cycle busyUntil_ = 0;
     Psc psc_[3]; ///< PML4 / PDPT / PD levels
-    /** ECC draw stream; consulted only when eccRetryProb > 0. */
-    Random eccRng_;
+    /** Walk-ECC draw stream; null unless the plan injects walk ECC. */
+    std::unique_ptr<sim::FaultInjector> eccFaults_;
 };
 
 } // namespace nocstar::mem

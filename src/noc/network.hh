@@ -69,24 +69,18 @@ class Network : public stats::StatGroup
 class MeshNetwork : public Network
 {
   public:
-    MeshNetwork(const std::string &name, const GridTopology &topo,
-                stats::StatGroup *parent = nullptr,
-                Cycle router_delay = 1, Cycle wire_delay = 1)
-        : Network(name, topo, parent),
-          routerDelay_(router_delay), wireDelay_(wire_delay)
-    {}
+    static constexpr Cycle routerCycles = 1;
+    static constexpr Cycle wireCycles = 1;
+
+    using Network::Network;
 
   protected:
     Cycle
     latency(CoreId src, CoreId dst, Cycle) override
     {
         unsigned h = topo_.hops(src, dst);
-        return static_cast<Cycle>(h) * (routerDelay_ + wireDelay_);
+        return static_cast<Cycle>(h) * (routerCycles + wireCycles);
     }
-
-  private:
-    Cycle routerDelay_;
-    Cycle wireDelay_;
 };
 
 /**

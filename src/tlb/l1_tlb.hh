@@ -3,7 +3,7 @@
  * Per-core L1 TLB group: one array per supported page size, looked up in
  * parallel with the L1 cache (single cycle, VIPT; paper §IV).
  *
- * Haswell-like defaults: 64-entry 4-way for 4 KB pages, 32-entry 4-way
+ * Haswell-like geometry: 64-entry 4-way for 4 KB pages, 32-entry 4-way
  * for 2 MB, 4-entry fully associative for 1 GB. Fig 6's L1-size
  * sensitivity scales all three arrays by a common factor.
  */
@@ -19,15 +19,15 @@
 namespace nocstar::tlb
 {
 
-/** Sizing knobs for an L1 TLB group. */
+/** Sizing of an L1 TLB group: fixed Haswell geometry, scalable. */
 struct L1TlbConfig
 {
-    std::uint32_t entries4k = 64;
-    std::uint32_t assoc4k = 4;
-    std::uint32_t entries2m = 32;
-    std::uint32_t assoc2m = 4;
-    std::uint32_t entries1g = 4;
-    std::uint32_t assoc1g = 4;
+    static constexpr std::uint32_t entries4k = 64;
+    static constexpr std::uint32_t assoc4k = 4;
+    static constexpr std::uint32_t entries2m = 32;
+    static constexpr std::uint32_t assoc2m = 4;
+    static constexpr std::uint32_t entries1g = 4;
+    static constexpr std::uint32_t assoc1g = 4;
     /** Multiplier applied to all entry counts (0.5x / 1.5x studies). */
     double scale = 1.0;
 };

@@ -392,11 +392,10 @@ TEST(System, MemoryAuditAccountsComponents)
     EXPECT_GT(audit.pageTableBytes, 0u);
     EXPECT_GT(audit.cacheModelBytes, 0u);
     EXPECT_GT(audit.fabricBytes, 0u);
-    EXPECT_EQ(audit.checkpointBytes, 0u);
     EXPECT_EQ(audit.total(),
               audit.orgArrayBytes + audit.l1Bytes +
                   audit.pageTableBytes + audit.cacheModelBytes +
-                  audit.fabricBytes + audit.checkpointBytes);
+                  audit.fabricBytes);
 
     // The private organization has no fabric to account.
     System private_system(smallConfig(core::OrgKind::Private, 16));

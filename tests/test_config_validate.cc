@@ -67,13 +67,13 @@ TEST(OrgValidate, ReportsEveryViolationAtOnce)
     OrgConfig config;
     config.kind = OrgKind::Nocstar;
     config.numCores = 0;
-    config.l2Entries = 0;
-    config.readPortsPerCycle = 0;
+    config.hpcMax = 0;
+    config.priorityEpoch = 0;
     config.nocstarSliceEntries = 0;
     std::vector<std::string> errors = config.validate();
     EXPECT_TRUE(mentions(errors, "numCores"));
-    EXPECT_TRUE(mentions(errors, "l2Entries"));
-    EXPECT_TRUE(mentions(errors, "readPortsPerCycle"));
+    EXPECT_TRUE(mentions(errors, "hpcMax"));
+    EXPECT_TRUE(mentions(errors, "priorityEpoch"));
     EXPECT_TRUE(mentions(errors, "nocstarSliceEntries"));
     EXPECT_GE(errors.size(), 4u);
 }
@@ -81,10 +81,9 @@ TEST(OrgValidate, ReportsEveryViolationAtOnce)
 TEST(OrgValidate, CatchesEntriesNotMultipleOfAssoc)
 {
     OrgConfig config;
-    config.kind = OrgKind::Private;
-    config.numCores = 4;
-    config.l2Entries = 1000;
-    config.l2Assoc = 16; // 1000 % 16 != 0
+    config.kind = OrgKind::Nocstar;
+    config.numCores = 16;
+    config.nocstarSliceEntries = 1020; // 1020 % 8 != 0
     EXPECT_TRUE(mentions(config.validate(), "not a multiple"));
 }
 
@@ -202,7 +201,7 @@ TEST(SystemValidate, RequiresApps)
 TEST(SystemValidate, OrgErrorsArePrefixed)
 {
     cpu::SystemConfig config = validSystemConfig();
-    config.org.l2Entries = 0;
+    config.org.prefetchDistance = OrgConfig::maxPrefetchDistance + 1;
     EXPECT_TRUE(mentions(config.validate(), "org: "));
 }
 
@@ -244,20 +243,14 @@ TEST(SystemValidate, CatchesZeroThreadApp)
     EXPECT_FALSE(config.validate().empty());
 }
 
-TEST(SystemValidate, CatchesBadHotspotAndEccSettings)
+TEST(SystemValidate, CatchesHotspotSliceBeyondLastCore)
 {
     cpu::SystemConfig config = validSystemConfig(16);
     config.hotspotSlice = 16; // slices are 0..15
     EXPECT_TRUE(mentions(config.validate(), "hotspotSlice"));
 
-    config = validSystemConfig(16);
-    config.hotspotSlice = 3;
-    config.hotspotFraction = 1.5;
-    EXPECT_TRUE(mentions(config.validate(), "hotspotFraction"));
-
-    config = validSystemConfig(16);
-    config.walker.eccRetryProb = 2.0;
-    EXPECT_FALSE(config.validate().empty());
+    config.hotspotSlice = 15;
+    EXPECT_TRUE(config.validate().empty());
 }
 
 TEST(SystemValidate, FastForwardRefusesPrefetch)
@@ -290,14 +283,14 @@ TEST(SystemValidate, FastForwardRefusesPrefetch)
 TEST(SystemValidate, ConstructorRejectsWithFullList)
 {
     cpu::SystemConfig config = validSystemConfig();
-    config.org.l2Entries = 0;
+    config.org.numCores = 0;
     config.apps[0].threads = 0;
     try {
         cpu::System system(config);
         FAIL() << "expected FatalError";
     } catch (const FatalError &err) {
         std::string what = err.what();
-        EXPECT_NE(what.find("l2Entries"), std::string::npos);
+        EXPECT_NE(what.find("numCores"), std::string::npos);
         EXPECT_NE(what.find("threads"), std::string::npos);
     }
 }

@@ -27,7 +27,7 @@ struct FabricHarness
     noc::GridTopology topo;
     Interconnect fabric;
 
-    explicit FabricHarness(unsigned cores = 16, FabricConfig cfg = {})
+    explicit FabricHarness(unsigned cores = 16, OrgConfig cfg = {})
         : topo(noc::GridTopology::forCores(cores)),
           fabric("fabric", queue, topo, cfg, &root)
     {}
@@ -57,7 +57,7 @@ TEST(Fabric, UncontendedRemoteTakesSetupPlusTraversal)
 
 TEST(Fabric, HpcMaxPipelinesLongPaths)
 {
-    FabricConfig cfg;
+    OrgConfig cfg;
     cfg.hpcMax = 4;
     FabricHarness h(64, cfg);
     Cycle delivered = invalidCycle;
@@ -126,7 +126,7 @@ TEST(Fabric, AllOrNothingAcquisition)
 
 TEST(Fabric, PriorityRotationChangesWinner)
 {
-    FabricConfig cfg;
+    OrgConfig cfg;
     cfg.priorityEpoch = 1000;
     FabricHarness h(16, cfg);
 
@@ -147,8 +147,8 @@ TEST(Fabric, PriorityRotationChangesWinner)
 
 TEST(Fabric, IdealModeNeverFails)
 {
-    FabricConfig cfg;
-    cfg.ideal = true;
+    OrgConfig cfg;
+    cfg.kind = OrgKind::NocstarIdeal;
     FabricHarness h(16, cfg);
     std::vector<Cycle> arrivals;
     // Eight different sources converge on tile 0's links; the ideal
@@ -252,7 +252,7 @@ TEST(Fabric, ZeroHpcMaxIsFatal)
     EventQueue queue;
     stats::StatGroup root("root");
     noc::GridTopology topo(4, 4);
-    FabricConfig cfg;
+    OrgConfig cfg;
     cfg.hpcMax = 0;
     EXPECT_THROW(Interconnect("f", queue, topo, cfg, &root), FatalError);
 }

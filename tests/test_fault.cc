@@ -28,7 +28,7 @@ struct FabricHarness
     noc::GridTopology topo;
     Interconnect fabric;
 
-    explicit FabricHarness(unsigned cores = 16, FabricConfig cfg = {})
+    explicit FabricHarness(unsigned cores = 16, OrgConfig cfg = {})
         : topo(noc::GridTopology::forCores(cores)),
           fabric("fabric", queue, topo, cfg, &root)
     {}
@@ -161,8 +161,8 @@ TEST(FaultFabric, RejectsPlanWithOutOfRangeLink)
 {
     sim::FaultPlan plan;
     plan.linkFaults.push_back({9999, 0, 0});
-    FabricConfig cfg;
-    cfg.faults = &plan;
+    OrgConfig cfg;
+    cfg.faults = plan;
     EXPECT_THROW(FabricHarness(16, cfg), FatalError);
 }
 
@@ -172,8 +172,8 @@ TEST(FaultFabric, RoutesAroundDeadLink)
     sim::FaultPlan plan;
     plan.linkFaults.push_back(
         {noc::LinkId{1, noc::Direction::East}.flatten(), 0, 0});
-    FabricConfig cfg;
-    cfg.faults = &plan;
+    OrgConfig cfg;
+    cfg.faults = plan;
     FabricHarness h(16, cfg);
 
     Cycle delivered = invalidCycle;
@@ -197,8 +197,8 @@ TEST(FaultFabric, IsolatedSourceFallsBackToMesh)
                      noc::Direction::North, noc::Direction::South})
         plan.linkFaults.push_back(
             {noc::LinkId{5, dir}.flatten(), 0, 0});
-    FabricConfig cfg;
-    cfg.faults = &plan;
+    OrgConfig cfg;
+    cfg.faults = plan;
     FabricHarness h(16, cfg);
 
     Cycle delivered = invalidCycle;
@@ -217,8 +217,8 @@ TEST(FaultFabric, TransientOutageDelaysUntilRepair)
     sim::FaultPlan plan;
     plan.linkFaults.push_back(
         {noc::LinkId{1, noc::Direction::East}.flatten(), 0, 100});
-    FabricConfig cfg;
-    cfg.faults = &plan;
+    OrgConfig cfg;
+    cfg.faults = plan;
     FabricHarness h(16, cfg);
 
     Cycle delivered = invalidCycle;
@@ -238,8 +238,8 @@ TEST(FaultFabric, BackoffCapBoundsRetrySpacing)
         {noc::LinkId{1, noc::Direction::East}.flatten(), 0, 200});
     plan.backoffCap = 4;
     plan.retryBudget = 1000;
-    FabricConfig cfg;
-    cfg.faults = &plan;
+    OrgConfig cfg;
+    cfg.faults = plan;
     FabricHarness h(16, cfg);
 
     Cycle delivered = invalidCycle;
@@ -258,8 +258,8 @@ TEST(FaultFabric, RetryBudgetExhaustionDegrades)
     plan.linkFaults.push_back(
         {noc::LinkId{1, noc::Direction::East}.flatten(), 0, 10000});
     plan.retryBudget = 3;
-    FabricConfig cfg;
-    cfg.faults = &plan;
+    OrgConfig cfg;
+    cfg.faults = plan;
     FabricHarness h(16, cfg);
 
     Cycle delivered = invalidCycle;
@@ -278,8 +278,8 @@ TEST(FaultFabric, WatchdogRescuesStuckMessage)
         {noc::LinkId{1, noc::Direction::East}.flatten(), 0, 10000});
     plan.retryBudget = 1000000;
     plan.watchdogCycles = 50;
-    FabricConfig cfg;
-    cfg.faults = &plan;
+    OrgConfig cfg;
+    cfg.faults = plan;
     FabricHarness h(16, cfg);
 
     Cycle delivered = invalidCycle;
@@ -299,8 +299,8 @@ TEST(FaultFabric, FatalWatchdogThrows)
     plan.retryBudget = 1000000;
     plan.watchdogCycles = 50;
     plan.watchdogFatal = true;
-    FabricConfig cfg;
-    cfg.faults = &plan;
+    OrgConfig cfg;
+    cfg.faults = plan;
     FabricHarness h(16, cfg);
 
     h.fabric.send(1, 2, 5, [](Cycle) {});
@@ -312,8 +312,8 @@ TEST(FaultFabric, GrantLossInjectsAndRetries)
     sim::FaultPlan plan;
     plan.grantLossProb = 1.0;
     plan.retryBudget = 2;
-    FabricConfig cfg;
-    cfg.faults = &plan;
+    OrgConfig cfg;
+    cfg.faults = plan;
     FabricHarness h(16, cfg);
 
     Cycle delivered = invalidCycle;
@@ -330,8 +330,8 @@ TEST(FaultFabric, LinkDeadCyclesAccountsOutageWindows)
     sim::FaultPlan plan;
     unsigned dead = noc::LinkId{1, noc::Direction::East}.flatten();
     plan.linkFaults.push_back({dead, 10, 40}); // [10, 50)
-    FabricConfig cfg;
-    cfg.faults = &plan;
+    OrgConfig cfg;
+    cfg.faults = plan;
     FabricHarness h(16, cfg);
     h.queue.run();
 

@@ -33,7 +33,7 @@ struct InterconnectHarness
     Interconnect fabric;
 
     explicit InterconnectHarness(unsigned cores = 16,
-                                 FabricConfig cfg = {})
+                                 OrgConfig cfg = {})
         : topo(noc::GridTopology::forCores(cores)),
           fabric("fabric", queue, topo, cfg, &root)
     {}
@@ -195,8 +195,8 @@ TEST(InterconnectContinuation, LocalDeliversInlineWithoutMoving)
 TEST(InterconnectContinuation, DegradedMeshPathMovesAtMostOnce)
 {
     sim::FaultPlan plan = isolateTile(9);
-    FabricConfig cfg;
-    cfg.faults = &plan;
+    OrgConfig cfg;
+    cfg.faults = plan;
     InterconnectHarness h(16, cfg);
     MoveLog log;
     bool degraded = false;
@@ -258,7 +258,7 @@ TEST(InterconnectLifetime, TeardownWithQueuedAndInFlightMessages)
     MoveLog lambda_log;
     {
         auto queue = std::make_unique<EventQueue>();
-        FabricConfig cfg;
+        OrgConfig cfg;
         cfg.hpcMax = 1; // 0 -> 15 takes 6 traversal cycles
         auto fabric = std::make_unique<Interconnect>(
             "fabric", *queue, noc::GridTopology::forCores(16), cfg);
@@ -286,8 +286,8 @@ TEST(InterconnectLifetime, ThrowingContinuationIsRecycled)
     // still returns to the pool with its continuation destroyed, the
     // degraded flag drops, and the fabric keeps working.
     sim::FaultPlan plan = isolateTile(9);
-    FabricConfig cfg;
-    cfg.faults = &plan;
+    OrgConfig cfg;
+    cfg.faults = plan;
     InterconnectHarness h(16, cfg);
     MoveLog log;
     h.fabric.send(9, 10, 20,
@@ -314,7 +314,7 @@ TEST(InterconnectSeam, GrantWaitHistogramsAreOptIn)
     InterconnectHarness off(16);
     EXPECT_EQ(off.fabric.grantWaitOf(0), nullptr);
 
-    FabricConfig cfg;
+    OrgConfig cfg;
     cfg.recordGrantWait = true;
     InterconnectHarness on(16, cfg);
     // Two requests collide on the East link out of tile 1: the winner

@@ -160,6 +160,30 @@ TEST(PageWalker, ConcurrentWalksQueue)
               101 + second.queueDelay + second.walkLatency);
 }
 
+TEST(PageWalker, WalkEccPlanDoublesEveryWalk)
+{
+    stats::StatGroup g("g");
+    PageTable table(0.0, 1);
+    CacheModel caches("c", 1, smallCaches(), &g);
+    WalkerConfig config;
+    config.fixedLatency = 40;
+    sim::FaultPlan plan;
+    plan.walkEccProb = 1.0;
+    PageTableWalker faulty("faulty", 0, table, caches, config, &g, &plan);
+    PageTableWalker plain("plain", 0, table, caches, config, &g);
+    for (Addr vaddr : {0x1000, 0x200000, 0x40000000}) {
+        WalkResult doubled = faulty.walk(1, vaddr, 0, 0);
+        EXPECT_EQ(doubled.walkLatency, 80u);
+        EXPECT_TRUE(doubled.eccRetried);
+        WalkResult single = plain.walk(1, vaddr, 0, 0);
+        EXPECT_EQ(single.walkLatency, 40u);
+        EXPECT_FALSE(single.eccRetried);
+    }
+    EXPECT_EQ(faulty.eccRewalks.value(), 3.0);
+    EXPECT_EQ(faulty.eccRewalks.value(), faulty.walks.value());
+    EXPECT_EQ(plain.eccRewalks.value(), 0.0);
+}
+
 TEST(PageWalker, StatsAccumulate)
 {
     stats::StatGroup g("g");

@@ -307,6 +307,12 @@ TEST(MonolithicOrg, BankGeometryAndLatency)
     // 16K-entry array, 9 + 1.2*log2(16384/1536) -> 14 cycles.
     EXPECT_EQ(mono.bankLatency(),
               energy::SramModel::accessLatency(16384));
+    EXPECT_EQ(mono.bankLatency(), 14u);
+
+    // 32 cores: the full 32K-entry array -> 15 cycles (Table II).
+    OrgHarness h32(OrgKind::MonolithicMesh, 32);
+    EXPECT_EQ(dynamic_cast<MonolithicOrg &>(*h32.org).bankLatency(), 15u);
+    EXPECT_EQ(MonolithicOrg::lookupLatency(32), 15u);
 }
 
 TEST(MonolithicOrg, AccessPaysNetworkBothWays)
