@@ -42,8 +42,7 @@ Interconnect::Interconnect(const std::string &name, EventQueue &queue,
                         "messages with no contention delay"),
       totalNetworkLatency(this, "network_latency",
                           "total setup+traversal+wait cycles"),
-      retryDistribution(this, "retries", "setup retries per message",
-                        0, 64, 1),
+      retries(this, "retries", "setup retries per message"),
       linkGrants(this, "link_grants", "path grants per link",
                  topo.linkIndexSpace()),
       linkDenies(this, "link_denies",
@@ -72,6 +71,8 @@ Interconnect::Interconnect(const std::string &name, EventQueue &queue,
 {
     if (config_.hpcMax == 0)
         fatal("NOCSTAR fabric needs hpcMax >= 1");
+    if (config_.priorityEpoch == 0)
+        fatal("NOCSTAR fabric needs priorityEpoch >= 1");
     contenders_.reserve(topo_.numTiles());
     if (config_.recordGrantWait)
         grantWait_ = std::make_unique<std::vector<sim::LatencyHistogram>>(
@@ -239,24 +240,19 @@ Interconnect::arbitrate()
             ++setupFailures;
             ++req.retries;
             if (faults_) {
-                const sim::FaultPlan &plan = faults_->plan();
-                if (plan.watchdogCycles != 0 &&
-                    now - req.posted >= plan.watchdogCycles) {
-                    if (plan.watchdogFatal)
-                        fatal("fabric watchdog: message ", req.src,
-                              " -> ", req.dst, " unserved for ",
-                              now - req.posted, " cycles");
+                using Plan = sim::FaultPlan;
+                if (now - req.posted >= Plan::watchdogCycles) {
                     ++watchdogTrips;
                     degrade(src, now);
                     continue;
                 }
-                if (req.retries > plan.retryBudget) {
+                if (req.retries > Plan::retryBudget) {
                     degrade(src, now);
                     continue;
                 }
                 // Capped exponential backoff: 1, 2, 4, ... cycles.
                 Cycle delay = std::min<Cycle>(
-                    plan.backoffCap,
+                    Plan::backoffCap,
                     Cycle{1} << std::min(req.retries - 1, 30u));
                 req.activeAt = now + delay;
                 backoffCycles += static_cast<double>(delay - 1);
@@ -282,7 +278,7 @@ Interconnect::arbitrate()
         ++messagesSent;
         if (now == req.posted)
             ++zeroRetryMessages;
-        retryDistribution.sample(static_cast<double>(req.retries));
+        retries.record(req.retries);
         // Latency counts waiting (port queueing + retries) + the
         // setup cycle + traversal.
         totalNetworkLatency += static_cast<double>(
@@ -341,7 +337,7 @@ Interconnect::degrade(CoreId src, Cycle now)
 
     ++degradedMessages;
     ++messagesSent;
-    retryDistribution.sample(static_cast<double>(req.retries));
+    retries.record(req.retries);
     totalNetworkLatency +=
         static_cast<double>((arrival - req.posted) + 1);
     if (grantWait_)

@@ -83,7 +83,8 @@ class Interconnect final : public stats::StatGroup
     static constexpr unsigned kPathTableMaxTiles = 256;
 
     /** Reads @p config's hpcMax, priorityEpoch, faults and
-     * recordGrantWait; kind NocstarIdeal makes every setup succeed. */
+     * recordGrantWait; kind NocstarIdeal makes every setup succeed.
+     * fatal() on a zero hpcMax or priorityEpoch. */
     Interconnect(const std::string &name, EventQueue &queue,
                  const noc::GridTopology &topo, const OrgConfig &config,
                  stats::StatGroup *parent = nullptr);
@@ -165,7 +166,7 @@ class Interconnect final : public stats::StatGroup
      * in the cycle they were posted, no port queueing, no retry). */
     stats::Scalar zeroRetryMessages;
     stats::Scalar totalNetworkLatency; ///< send-call -> delivery cycles
-    stats::Distribution retryDistribution;
+    stats::Histogram retries; ///< setup retries of each message
     // Per-link load-imbalance telemetry, indexed by flattened link id
     // (GridTopology::LinkId::flatten()): how often each link was
     // acquired, how often it was the first blocker of a failed setup,

@@ -36,12 +36,6 @@ class NocstarOrg final : public TlbOrganization
                    const std::vector<CoreId> &sharers, Cycle now,
                    ShootdownDone on_complete) override;
 
-    void
-    syncFaultStats(Cycle now) override
-    {
-        fabric_->syncFaultStats(now);
-    }
-
     Interconnect &fabric() { return *fabric_; }
 
     Cycle sliceLatency() const { return sliceLatency_; }

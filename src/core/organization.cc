@@ -121,11 +121,9 @@ TlbOrganization::TlbOrganization(const std::string &name,
       totalShootdownLatency(this, "shootdown_latency_cycles",
                             "total shootdown completion cycles"),
       concurrency(this, "concurrency",
-                  "chip-wide concurrent L2 accesses at access start",
-                  1, 513, 1),
+                  "chip-wide concurrent L2 accesses at access start"),
       sliceConcurrency(this, "slice_concurrency",
-                       "same-slice concurrent accesses at access start",
-                       1, 513, 1),
+                       "same-slice concurrent accesses at access start"),
       sliceEccRewalks(this, "slice_ecc_rewalks",
                       "hits discarded for ECC corruption"),
       config_(config), ctx_(std::move(context)),
@@ -184,8 +182,8 @@ TlbOrganization::lookupHome(unsigned home, ContextId ctx, Addr vaddr,
     // matching the paper's "1 acc" category.
     ++outstanding_;
     ++sliceOutstanding_[home];
-    concurrency.sample(static_cast<double>(outstanding_));
-    sliceConcurrency.sample(static_cast<double>(sliceOutstanding_[home]));
+    concurrency.record(outstanding_);
+    sliceConcurrency.record(sliceOutstanding_[home]);
 
     tlb::SetAssocTlb &array = *arrays_[home];
     const tlb::TlbEntry *hit = array.lookupAnySize(ctx, vaddr);

@@ -21,6 +21,7 @@
 #include "mem/page_walker.hh"
 #include "noc/topology.hh"
 #include "sim/event_queue.hh"
+#include "sim/latency_histogram.hh"
 #include "sim/stats.hh"
 #include "sim/trace_recorder.hh"
 #include "tlb/prefetcher.hh"
@@ -147,14 +148,6 @@ class TlbOrganization : public stats::StatGroup
     std::uint64_t totalEntries() const;
 
     /**
-     * Bring fault-accounting stats (per-link dead cycles, ...) current
-     * through @p now. Called before every epoch snapshot and at the
-     * end of the run; a no-op unless the organization carries fault
-     * machinery.
-     */
-    virtual void syncFaultStats(Cycle now) { (void)now; }
-
-    /**
      * Number of L2 arrays (slices, banks, or private per-core arrays).
      * Array index i is what homeArrayOf() returns.
      */
@@ -220,9 +213,9 @@ class TlbOrganization : public stats::StatGroup
     stats::Scalar totalAccessLatency; ///< L1-miss -> completion cycles
     stats::Scalar totalShootdownLatency;
     /** Concurrent chip-wide L2 accesses at each access start (Fig 5). */
-    stats::Distribution concurrency;
+    stats::Histogram concurrency;
     /** Concurrent same-slice accesses at each access start (Fig 6). */
-    stats::Distribution sliceConcurrency;
+    stats::Histogram sliceConcurrency;
     /** Hits discarded because the entry read back corrupt (ECC). */
     stats::Scalar sliceEccRewalks;
 

@@ -251,7 +251,7 @@ System::System(const SystemConfig &config)
     if (config.sampling.enabled())
         samplingStats_ = std::make_unique<SamplingStats>(this);
     if (auto *nocstar = dynamic_cast<core::NocstarOrg *>(org_.get()))
-        counterFabric_ = &nocstar->fabric();
+        fabric_ = &nocstar->fabric();
 
     // Thread placement: spread threads across cores first, then fill
     // SMT slots, exactly one app context per thread.
@@ -450,9 +450,9 @@ System::sampleCounters(Cycle at)
     sim::recorder().counter(0, "event queue depth", at, queue_.size());
     sim::recorder().counter(1, "in-flight L2 misses", at,
                             org_->outstandingAccesses());
-    if (counterFabric_)
+    if (fabric_)
         sim::recorder().counter(2, "fabric links held", at,
-                                counterFabric_->linksHeld(at));
+                                fabric_->linksHeld(at));
 }
 
 template <typename F>
@@ -518,8 +518,8 @@ System::maybeProgress(bool force)
     const double eta = acc_rate > 0
         ? static_cast<double>(progress_->totalQuota - accesses) / acc_rate
         : 0.0;
-    const std::uint64_t faults = counterFabric_
-        ? static_cast<std::uint64_t>(counterFabric_->faultsInjected.value())
+    const std::uint64_t faults = fabric_
+        ? static_cast<std::uint64_t>(fabric_->faultsInjected.value())
         : 0;
     std::fprintf(stderr,
                  "[progress] cycle %llu | %.2fM cyc/s | %.2fM acc/s | "
@@ -582,7 +582,8 @@ System::stormOp()
 void
 System::snapshotEpoch()
 {
-    org_->syncFaultStats(queue_.curCycle());
+    if (fabric_)
+        fabric_->syncFaultStats(queue_.curCycle());
     std::ostringstream os;
     os << "{\"epoch\":" << epochSnapshots_.size()
        << ",\"cycle\":" << queue_.curCycle() << ",\"stats\":";
@@ -606,18 +607,19 @@ System::dumpStatsJson(std::ostream &out) const
 }
 
 std::vector<double>
-System::paperBuckets(const stats::Distribution &dist)
+System::paperBuckets(const sim::LatencyHistogram &hist)
 {
-    // Paper bins: 1, 2-4, 5-8, 9-12, ..., 25-28, 29+.
+    // Paper bins: 1, 2-4, 5-8, 9-12, ..., 25-28, 29+. Each value below
+    // 64 has a bucket of its own, and every wider bucket lies in 29+.
     std::vector<double> bins(9, 0.0);
-    const auto &buckets = dist.buckets();
-    std::uint64_t total = dist.numSamples();
+    const auto &buckets = hist.buckets();
+    std::uint64_t total = hist.numSamples();
     if (total == 0)
         return bins;
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
+    for (std::uint32_t i = 0; i < buckets.size(); ++i) {
         if (!buckets[i])
             continue;
-        auto value = static_cast<unsigned>(i + 1); // bucket i holds i+1
+        std::uint64_t value = sim::LatencyHistogram::bucketLow(i);
         std::size_t bin;
         if (value <= 1)
             bin = 0;
@@ -629,7 +631,6 @@ System::paperBuckets(const stats::Distribution &dist)
             bin = 2 + (value - 5) / 4;
         bins[bin] += static_cast<double>(buckets[i]);
     }
-    bins[8] += static_cast<double>(dist.overflow());
     for (double &b : bins)
         b /= static_cast<double>(total);
     return bins;
@@ -1068,8 +1069,8 @@ System::memoryAudit() const
         audit.l1Bytes += l1->memoryBytes();
     audit.pageTableBytes = pageTable_->memoryBytes();
     audit.cacheModelBytes = caches_->memoryBytes();
-    if (counterFabric_)
-        audit.fabricBytes = counterFabric_->memoryBytes();
+    if (fabric_)
+        audit.fabricBytes = fabric_->memoryBytes();
     return audit;
 }
 
@@ -1211,7 +1212,8 @@ System::finishRun()
     if (progress_)
         maybeProgress(true);
 
-    org_->syncFaultStats(queue_.curCycle());
+    if (fabric_)
+        fabric_->syncFaultStats(queue_.curCycle());
 
     if (capture_)
         capture_->save(config_.captureTracePath);
@@ -1278,10 +1280,11 @@ System::finishRun()
     energy_.addLeakage(tlb_mw, result.cycles);
     result.energyPj = energy_.totalPj();
 
-    if (auto *nocstar = dynamic_cast<core::NocstarOrg *>(org_.get())) {
-        core::Interconnect &fabric = nocstar->fabric();
+    if (fabric_) {
+        const core::Interconnect &fabric = *fabric_;
         result.fabricAvgLatency = fabric.averageLatency();
-        result.fabricMaxRetries = fabric.retryDistribution.maxSample();
+        result.fabricMaxRetries =
+            static_cast<double>(fabric.retries.value().maxValue());
         result.fabricNoContention = fabric.noContentionFraction();
         result.fabricSetupAttempts =
             static_cast<std::uint64_t>(fabric.setupAttempts.value());
@@ -1322,9 +1325,9 @@ System::finishRun()
               static_cast<double>(result.shootdowns)
         : 0.0;
 
-    result.concurrencyBuckets = paperBuckets(org_->concurrency);
+    result.concurrencyBuckets = paperBuckets(org_->concurrency.value());
     result.sliceConcurrencyBuckets =
-        paperBuckets(org_->sliceConcurrency);
+        paperBuckets(org_->sliceConcurrency.value());
     return result;
 }
 

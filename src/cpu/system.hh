@@ -300,9 +300,9 @@ class System : public stats::StatGroup
     tlb::L1TlbGroup &l1Of(CoreId core) { return *l1s_.at(core); }
     const SystemConfig &config() const { return config_; }
 
-    /** Bucket a concurrency Distribution into the paper's 9 bins. */
+    /** Bucket a concurrency histogram into the paper's 9 bins. */
     static std::vector<double>
-    paperBuckets(const stats::Distribution &dist);
+    paperBuckets(const sim::LatencyHistogram &hist);
 
     /**
      * One sample (always 0) per dispatched step. It stays because the
@@ -582,8 +582,12 @@ class System : public stats::StatGroup
     std::unique_ptr<LatencyStats> latency_;
     /** Heartbeat bookkeeping; null unless progressSeconds >= 0. */
     std::unique_ptr<Progress> progress_;
-    /** Fabric of a NOCSTAR org, for the links-held counter track. */
-    core::Interconnect *counterFabric_ = nullptr;
+    /**
+     * Fabric of a NOCSTAR org, else null: its fault stats are synced
+     * before each snapshot, and it feeds the results, the links-held
+     * counter track, the heartbeat and the memory audit.
+     */
+    core::Interconnect *fabric_ = nullptr;
 
     stats::Scalar l1Accesses_;
     stats::Scalar l1Misses_;

@@ -93,13 +93,6 @@ FaultPlan::validate(unsigned link_index_space) const
                                     f.link, " beyond the mesh (",
                                     link_index_space, " links)"));
     }
-
-    if (!empty()) {
-        if (retryBudget == 0)
-            errors.push_back("retry-budget must be >= 1");
-        if (backoffCap == 0)
-            errors.push_back("backoff-cap must be >= 1");
-    }
     return errors;
 }
 
@@ -149,17 +142,6 @@ FaultPlan::parse(std::istream &in, const std::string &origin)
                                                     dir);
                 plan.linkFaults.push_back(f);
             }
-        } else if (word == "link-id") {
-            LinkFaultSpec f;
-            std::uint64_t id = 0;
-            if (args.size() != 3 || !parseU64(args[0], id) ||
-                !parseU64(args[1], f.start) ||
-                !parseDuration(args[2], f.duration)) {
-                bad("link-id needs: FLAT START DURATION|permanent");
-            } else {
-                f.link = static_cast<std::uint32_t>(id);
-                plan.linkFaults.push_back(f);
-            }
         } else if (word == "grant-loss") {
             if (args.size() != 1 ||
                 !parseProb(args[0], plan.grantLossProb))
@@ -172,25 +154,6 @@ FaultPlan::parse(std::istream &in, const std::string &origin)
             if (args.size() != 1 ||
                 !parseProb(args[0], plan.walkEccProb))
                 bad("walk-ecc needs one probability in [0, 1]");
-        } else if (word == "retry-budget") {
-            if (args.size() != 1 || !parseU64(args[0], v) || v == 0)
-                bad("retry-budget needs one positive integer");
-            else
-                plan.retryBudget = static_cast<unsigned>(v);
-        } else if (word == "backoff-cap") {
-            if (args.size() != 1 || !parseU64(args[0], v) || v == 0)
-                bad("backoff-cap needs one positive integer");
-            else
-                plan.backoffCap = v;
-        } else if (word == "watchdog") {
-            bool is_fatal = args.size() == 2 && args[1] == "fatal";
-            if ((args.size() != 1 && !is_fatal) ||
-                !parseU64(args[0], v)) {
-                bad("watchdog needs: CYCLES [fatal]");
-            } else {
-                plan.watchdogCycles = v;
-                plan.watchdogFatal = is_fatal;
-            }
         } else {
             bad(strCat("unknown directive '", word, "'"));
         }

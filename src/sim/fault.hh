@@ -5,8 +5,9 @@
  * that respond to it.
  *
  * A FaultPlan is pure data: per-link outage windows (permanent or
- * transient), loss/corruption probabilities, and the retry-budget /
- * backoff / watchdog policy. It is carried by value inside OrgConfig;
+ * transient), loss/corruption probabilities and a seed, plus the fixed
+ * retry-budget / backoff / watchdog policy that responds to them. It
+ * is carried by value inside OrgConfig;
  * an empty plan (the default) means the fault layer is never consulted
  * and the hot paths are byte-identical to a build without it.
  *
@@ -73,14 +74,12 @@ struct FaultPlan
     // Resilience policy (consulted only while the plan is non-empty).
     /** Failed setups a message may retry before it is degraded onto
      * the fallback queued mesh. */
-    unsigned retryBudget = 64;
+    static constexpr unsigned retryBudget = 64;
     /** Cap on the exponential retry backoff, in cycles. */
-    Cycle backoffCap = 64;
+    static constexpr Cycle backoffCap = 64;
     /** Cycles a message may sit unserved before the livelock watchdog
-     * trips (0 disables the watchdog). */
-    Cycle watchdogCycles = 100000;
-    /** Watchdog behaviour: fatal() (true) or count-and-degrade. */
-    bool watchdogFatal = false;
+     * degrades it onto the fallback mesh. */
+    static constexpr Cycle watchdogCycles = 100000;
 
     /** True when the plan can never inject anything. */
     bool
@@ -105,13 +104,9 @@ struct FaultPlan
      *   seed N
      *   link TILE DIR START DURATION   (DIR: E|W|N|S; DURATION cycles
      *                                   or the word "permanent")
-     *   link-id FLAT START DURATION    (pre-flattened link id)
      *   grant-loss P
      *   slice-ecc P
      *   walk-ecc P
-     *   retry-budget N
-     *   backoff-cap N
-     *   watchdog CYCLES [fatal]
      *
      * Every malformed line is reported; any error is fatal().
      */

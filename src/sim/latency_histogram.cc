@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 
 #include "sim/json.hh"
 
@@ -52,38 +51,22 @@ LatencyHistogram::merge(const LatencyHistogram &other)
 namespace nocstar::stats
 {
 
-namespace
-{
-
-void
-emitLine(std::ostream &os, const std::string &prefix,
-         const std::string &name, double value, const std::string &desc)
-{
-    os << std::left << std::setw(44) << (prefix + name) << " "
-       << std::setw(16) << std::setprecision(8) << value
-       << " # " << desc << "\n";
-}
-
-} // namespace
-
 void
 Histogram::dump(std::ostream &os, const std::string &prefix) const
 {
-    emitLine(os, prefix, name() + ".samples",
-             static_cast<double>(hist_.numSamples()), desc());
-    emitLine(os, prefix, name() + ".mean", hist_.mean(), desc());
-    emitLine(os, prefix, name() + ".min",
-             static_cast<double>(hist_.minValue()), desc());
-    emitLine(os, prefix, name() + ".max",
-             static_cast<double>(hist_.maxValue()), desc());
-    emitLine(os, prefix, name() + ".p50",
-             static_cast<double>(hist_.percentile(0.50)), desc());
-    emitLine(os, prefix, name() + ".p90",
-             static_cast<double>(hist_.percentile(0.90)), desc());
-    emitLine(os, prefix, name() + ".p99",
-             static_cast<double>(hist_.percentile(0.99)), desc());
-    emitLine(os, prefix, name() + ".p999",
-             static_cast<double>(hist_.percentile(0.999)), desc());
+    dumpLine(os, prefix, ".samples",
+             static_cast<double>(hist_.numSamples()));
+    dumpLine(os, prefix, ".mean", hist_.mean());
+    dumpLine(os, prefix, ".min", static_cast<double>(hist_.minValue()));
+    dumpLine(os, prefix, ".max", static_cast<double>(hist_.maxValue()));
+    dumpLine(os, prefix, ".p50",
+             static_cast<double>(hist_.percentile(0.50)));
+    dumpLine(os, prefix, ".p90",
+             static_cast<double>(hist_.percentile(0.90)));
+    dumpLine(os, prefix, ".p99",
+             static_cast<double>(hist_.percentile(0.99)));
+    dumpLine(os, prefix, ".p999",
+             static_cast<double>(hist_.percentile(0.999)));
 }
 
 void

@@ -17,7 +17,9 @@
  *
  * `sim::LatencyHistogram` is the plain value type; `stats::Histogram`
  * wraps one as a Stat so percentile stats appear in dumpAll() listings
- * and the stats JSON document next to Scalars and Distributions.
+ * and the stats JSON document next to Scalars and Vectors. Every
+ * distribution the simulator measures is one: latencies, Fig 5/6
+ * concurrency and the fabric's per-message retries.
  */
 
 #ifndef NOCSTAR_SIM_LATENCY_HISTOGRAM_HH

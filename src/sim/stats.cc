@@ -21,24 +21,19 @@ Stat::Stat(StatGroup *parent, std::string name, std::string desc)
     parent->addStat(this);
 }
 
-namespace
-{
-
 void
-emitLine(std::ostream &os, const std::string &prefix,
-         const std::string &name, double value, const std::string &desc)
+Stat::dumpLine(std::ostream &os, const std::string &prefix,
+               const std::string &suffix, double value) const
 {
-    os << std::left << std::setw(44) << (prefix + name) << " "
+    os << std::left << std::setw(44) << (prefix + name_ + suffix) << " "
        << std::setw(16) << std::setprecision(8) << value
-       << " # " << desc << "\n";
+       << " # " << desc_ << "\n";
 }
-
-} // namespace
 
 void
 Scalar::dump(std::ostream &os, const std::string &prefix) const
 {
-    emitLine(os, prefix, name(), value_, desc());
+    dumpLine(os, prefix, "", value_);
 }
 
 void
@@ -59,11 +54,9 @@ Vector::total() const
 void
 Vector::dump(std::ostream &os, const std::string &prefix) const
 {
-    for (std::size_t i = 0; i < values_.size(); ++i) {
-        emitLine(os, prefix, name() + "[" + std::to_string(i) + "]",
-                 values_[i], desc());
-    }
-    emitLine(os, prefix, name() + ".total", total(), desc());
+    for (std::size_t i = 0; i < values_.size(); ++i)
+        dumpLine(os, prefix, "[" + std::to_string(i) + "]", values_[i]);
+    dumpLine(os, prefix, ".total", total());
 }
 
 void
@@ -124,63 +117,24 @@ Distribution::sample(double v, std::uint64_t count)
     }
 }
 
-double
-Distribution::percentileEst(double q) const
-{
-    if (!samples_)
-        return 0;
-    q = std::min(std::max(q, 0.0), 1.0);
-    const double target = q * static_cast<double>(samples_);
-    // Underflow samples sit below every bucket: a quantile inside them
-    // can only be pinned to the recorded minimum.
-    double cumulative = static_cast<double>(underflow_);
-    double estimate = minSample_;
-    if (target > cumulative) {
-        estimate = maxSample_; // quantile beyond all buckets: overflow
-        for (std::size_t i = 0; i < buckets_.size(); ++i) {
-            if (!buckets_[i])
-                continue;
-            const auto count = static_cast<double>(buckets_[i]);
-            if (cumulative + count >= target) {
-                // The bucket holding the rank reports its bucket value
-                // directly. Interpolating within the bucket assumes
-                // samples spread uniformly across it, which grossly
-                // inflates point-mass distributions (e.g. a >99%-zero
-                // streak distribution reported p50 ~ 0.5 with a mean
-                // of 0.003); integer-valued stats make the lower edge
-                // the exact answer, and for fractional stats it is
-                // never worse than the midpoint assumption.
-                estimate = min_ + bucketSize_ * static_cast<double>(i);
-                break;
-            }
-            cumulative += count;
-        }
-    }
-    return std::min(std::max(estimate, minSample_), maxSample_);
-}
-
 void
 Distribution::dump(std::ostream &os, const std::string &prefix) const
 {
-    emitLine(os, prefix, name() + ".samples",
-             static_cast<double>(samples_), desc());
-    emitLine(os, prefix, name() + ".mean", mean(), desc());
-    emitLine(os, prefix, name() + ".min", minSample_, desc());
-    emitLine(os, prefix, name() + ".max", maxSample_, desc());
+    dumpLine(os, prefix, ".samples", static_cast<double>(samples_));
+    dumpLine(os, prefix, ".mean", mean());
+    dumpLine(os, prefix, ".min", minSample_);
+    dumpLine(os, prefix, ".max", maxSample_);
     if (underflow_)
-        emitLine(os, prefix, name() + ".underflow",
-                 static_cast<double>(underflow_), desc());
+        dumpLine(os, prefix, ".underflow", static_cast<double>(underflow_));
     for (std::size_t i = 0; i < buckets_.size(); ++i) {
         if (!buckets_[i])
             continue;
         double lo = min_ + bucketSize_ * static_cast<double>(i);
-        emitLine(os, prefix,
-                 name() + ".bucket[" + std::to_string(lo) + "]",
-                 static_cast<double>(buckets_[i]), desc());
+        dumpLine(os, prefix, ".bucket[" + std::to_string(lo) + "]",
+                 static_cast<double>(buckets_[i]));
     }
     if (overflow_)
-        emitLine(os, prefix, name() + ".overflow",
-                 static_cast<double>(overflow_), desc());
+        dumpLine(os, prefix, ".overflow", static_cast<double>(overflow_));
 }
 
 void
@@ -192,12 +146,6 @@ Distribution::dumpJson(std::ostream &os) const
     json::number(os, minSample_);
     os << ",\"max\":";
     json::number(os, maxSample_);
-    // Derived quantile *estimates* (bucket interpolation, clamped to
-    // [min, max)); exact-rank percentiles live in stats::Histogram.
-    os << ",\"p50_est\":";
-    json::number(os, percentileEst(0.50));
-    os << ",\"p99_est\":";
-    json::number(os, percentileEst(0.99));
     os << ",\"underflow\":" << underflow_
        << ",\"overflow\":" << overflow_ << ",\"bucket_size\":";
     json::number(os, bucketSize_);

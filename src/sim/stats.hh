@@ -4,9 +4,10 @@
  *
  * Stats register themselves with an owning StatGroup by name; groups dump
  * a flat, sorted, machine-parseable listing. Only the pieces the
- * simulator needs are implemented: scalars, vectors and distributions.
- * Stats only accumulate: an interval's values are the difference of
- * two snapshots of the tree.
+ * simulator needs are implemented: scalars, vectors, linear-bucket
+ * distributions here, and HDR histograms (stats::Histogram) in
+ * sim/latency_histogram.hh. Stats only accumulate: an interval's values
+ * are the difference of two snapshots of the tree.
  */
 
 #ifndef NOCSTAR_SIM_STATS_HH
@@ -44,6 +45,11 @@ class Stat
 
     /** Write this stat's value as one JSON value (no name, no desc). */
     virtual void dumpJson(std::ostream &os) const = 0;
+
+  protected:
+    /** Write the dump line "prefix name suffix  value  # desc". */
+    void dumpLine(std::ostream &os, const std::string &prefix,
+                  const std::string &suffix, double value) const;
 
   private:
     std::string name_;
@@ -93,7 +99,10 @@ class Vector : public Stat
 
 /**
  * A bucketed histogram over [min, max) plus running mean / extrema;
- * samples outside the range land in underflow/overflow buckets.
+ * samples outside the range land in underflow/overflow buckets. Only
+ * the bypass-streak stat and the benchmark's stats-record replay use
+ * it; every other distribution the simulator measures is an integer
+ * stats::Histogram.
  */
 class Distribution : public Stat
 {
@@ -110,15 +119,6 @@ class Distribution : public Stat
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
     std::uint64_t underflow() const { return underflow_; }
     std::uint64_t overflow() const { return overflow_; }
-
-    /**
-     * Approximate q-quantile interpolated linearly inside the linear
-     * buckets and clamped to [min, max). An *estimate* only -- its
-     * error is bounded by one bucket width plus whatever lands in the
-     * underflow/overflow bins; stats that need exact tail ranks use a
-     * LatencyHistogram (stats::Histogram) instead.
-     */
-    double percentileEst(double q) const;
 
     void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(std::ostream &os) const override;

@@ -211,14 +211,27 @@ TEST(Fabric, RetryDistributionRecorded)
     for (int i = 0; i < 4; ++i)
         h.fabric.send(0, 3, 5, [](Cycle) {});
     h.queue.run();
-    EXPECT_EQ(h.fabric.retryDistribution.numSamples(), 4u);
+    const sim::LatencyHistogram &retries = h.fabric.retries.value();
+    EXPECT_EQ(retries.numSamples(), 4u);
     // Port queueing is not a retry: each request is granted on its
     // first arbitration attempt, one per cycle.
-    EXPECT_DOUBLE_EQ(h.fabric.retryDistribution.mean(), 0.0);
+    EXPECT_EQ(retries.maxValue(), 0u);
+    EXPECT_EQ(retries.buckets()[0], 4u);
     // But only the first message saw zero contention delay.
     EXPECT_DOUBLE_EQ(h.fabric.noContentionFraction(), 0.25);
     // Average latency: (2 + 3 + 4 + 5) / 4.
     EXPECT_DOUBLE_EQ(h.fabric.averageLatency(), 3.5);
+
+    // Sources 0 and 1 both need link 1E in cycle 5: 0 wins under the
+    // unrotated priority, and 1 retries once.
+    FabricHarness c;
+    c.fabric.send(0, 3, 5, [](Cycle) {});
+    c.fabric.send(1, 3, 5, [](Cycle) {});
+    c.queue.run();
+    const sim::LatencyHistogram &contended = c.fabric.retries.value();
+    EXPECT_EQ(contended.numSamples(), 2u);
+    EXPECT_EQ(contended.buckets()[0], 1u);
+    EXPECT_EQ(contended.buckets()[1], 1u);
 }
 
 TEST(Fabric, PrecomputedPathTableMatchesTopology)
@@ -254,6 +267,18 @@ TEST(Fabric, ZeroHpcMaxIsFatal)
     noc::GridTopology topo(4, 4);
     OrgConfig cfg;
     cfg.hpcMax = 0;
+    EXPECT_THROW(Interconnect("f", queue, topo, cfg, &root), FatalError);
+}
+
+TEST(Fabric, ZeroPriorityEpochIsFatal)
+{
+    // A fabric built without OrgConfig::validate() must still refuse
+    // the value arbitrate() would divide by.
+    EventQueue queue;
+    stats::StatGroup root("root");
+    noc::GridTopology topo(4, 4);
+    OrgConfig cfg;
+    cfg.priorityEpoch = 0;
     EXPECT_THROW(Interconnect("f", queue, topo, cfg, &root), FatalError);
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Fault-injection subsystem: plan parsing and validation, seeded
  * injector determinism, fabric outages (route-around, mesh fallback,
- * retry budget, backoff cap, watchdog) and end-to-end reproducibility
- * of faulted full-system runs.
+ * the fixed retry budget, backoff cap and watchdog) and end-to-end
+ * reproducibility of faulted full-system runs.
  */
 
 #include <gtest/gtest.h>
@@ -64,27 +64,20 @@ TEST(FaultPlan, ParsesEveryDirective)
         "# comment\n"
         "seed 42\n"
         "link 1 E 100 permanent\n"
-        "link-id 9 200 50   # transient\n"
+        "link 2 W 200 50   # transient\n"
         "grant-loss 0.25\n"
         "slice-ecc 0.5\n"
-        "walk-ecc 0.125\n"
-        "retry-budget 7\n"
-        "backoff-cap 16\n"
-        "watchdog 5000 fatal\n");
+        "walk-ecc 0.125\n");
     EXPECT_EQ(plan.seed, 42u);
     ASSERT_EQ(plan.linkFaults.size(), 2u);
     EXPECT_EQ(plan.linkFaults[0].link, 1u * 4 + 0);
     EXPECT_EQ(plan.linkFaults[0].start, 100u);
     EXPECT_TRUE(plan.linkFaults[0].permanent());
-    EXPECT_EQ(plan.linkFaults[1].link, 9u);
+    EXPECT_EQ(plan.linkFaults[1].link, 2u * 4 + 1);
     EXPECT_EQ(plan.linkFaults[1].end(), 250u);
     EXPECT_DOUBLE_EQ(plan.grantLossProb, 0.25);
     EXPECT_DOUBLE_EQ(plan.sliceEccProb, 0.5);
     EXPECT_DOUBLE_EQ(plan.walkEccProb, 0.125);
-    EXPECT_EQ(plan.retryBudget, 7u);
-    EXPECT_EQ(plan.backoffCap, 16u);
-    EXPECT_EQ(plan.watchdogCycles, 5000u);
-    EXPECT_TRUE(plan.watchdogFatal);
     EXPECT_FALSE(plan.empty());
 }
 
@@ -93,13 +86,31 @@ TEST(FaultPlan, RejectsGarbageListingEveryError)
     try {
         planFromString("grant-loss 1.5\n"
                        "link 3 Q 0 permanent\n"
-                       "retry-budget zero\n");
+                       "seed minus-one\n");
         FAIL() << "expected FatalError";
     } catch (const FatalError &err) {
         std::string what = err.what();
         EXPECT_NE(what.find("grant-loss"), std::string::npos);
         EXPECT_NE(what.find("test:2"), std::string::npos);
-        EXPECT_NE(what.find("retry-budget"), std::string::npos);
+        EXPECT_NE(what.find("test:3: seed"), std::string::npos);
+    }
+}
+
+TEST(FaultPlan, RemovedDirectivesAreRefused)
+{
+    // The resilience policy is fixed, and a link is named only by
+    // tile and direction.
+    for (const char *line :
+         {"retry-budget 8", "backoff-cap 16", "watchdog 5000",
+          "watchdog 5000 fatal", "link-id 37 0 permanent"}) {
+        try {
+            planFromString(std::string(line) + "\n");
+            ADD_FAILURE() << "accepted '" << line << "'";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("unknown directive"),
+                      std::string::npos)
+                << err.what();
+        }
     }
 }
 
@@ -233,11 +244,12 @@ TEST(FaultFabric, TransientOutageDelaysUntilRepair)
 
 TEST(FaultFabric, BackoffCapBoundsRetrySpacing)
 {
+    // Uncapped doubling would retry at cycles 516 and 1028, far past
+    // the end of a 600-cycle outage; capped retries come every
+    // backoffCap cycles and stay within the retry budget.
     sim::FaultPlan plan;
     plan.linkFaults.push_back(
-        {noc::LinkId{1, noc::Direction::East}.flatten(), 0, 200});
-    plan.backoffCap = 4;
-    plan.retryBudget = 1000;
+        {noc::LinkId{1, noc::Direction::East}.flatten(), 0, 600});
     OrgConfig cfg;
     cfg.faults = plan;
     FabricHarness h(16, cfg);
@@ -247,9 +259,10 @@ TEST(FaultFabric, BackoffCapBoundsRetrySpacing)
     h.queue.run();
 
     // Retries arrive at most backoffCap apart, so delivery lands
-    // within one cap of the repair (plus traversal).
-    EXPECT_GE(delivered, 200u);
-    EXPECT_LE(delivered, 200u + plan.backoffCap + 2);
+    // within one cap of the repair (plus traversal), on the fabric.
+    EXPECT_GE(delivered, 600u);
+    EXPECT_LE(delivered, 600u + sim::FaultPlan::backoffCap + 2);
+    EXPECT_DOUBLE_EQ(h.fabric.degradedMessages.value(), 0.0);
 }
 
 TEST(FaultFabric, RetryBudgetExhaustionDegrades)
@@ -257,7 +270,6 @@ TEST(FaultFabric, RetryBudgetExhaustionDegrades)
     sim::FaultPlan plan;
     plan.linkFaults.push_back(
         {noc::LinkId{1, noc::Direction::East}.flatten(), 0, 10000});
-    plan.retryBudget = 3;
     OrgConfig cfg;
     cfg.faults = plan;
     FabricHarness h(16, cfg);
@@ -269,49 +281,47 @@ TEST(FaultFabric, RetryBudgetExhaustionDegrades)
     EXPECT_NE(delivered, invalidCycle);
     EXPECT_LT(delivered, 10000u); // did not wait out the outage
     EXPECT_DOUBLE_EQ(h.fabric.degradedMessages.value(), 1.0);
+    EXPECT_DOUBLE_EQ(h.fabric.watchdogTrips.value(), 0.0);
+    // Degraded on the first failure past the budget.
+    EXPECT_EQ(h.fabric.retries.value().maxValue(),
+              sim::FaultPlan::retryBudget + 1);
 }
 
 TEST(FaultFabric, WatchdogRescuesStuckMessage)
 {
+    // Thirty messages queue behind a 200000-cycle outage. Each head
+    // spends its retry budget (about 3.8K cycles) before degrading, so
+    // a message about 27 deep has waited past watchdogCycles when it
+    // first arbitrates, and the watchdog degrades it at once.
     sim::FaultPlan plan;
     plan.linkFaults.push_back(
-        {noc::LinkId{1, noc::Direction::East}.flatten(), 0, 10000});
-    plan.retryBudget = 1000000;
-    plan.watchdogCycles = 50;
+        {noc::LinkId{1, noc::Direction::East}.flatten(), 0, 200000});
     OrgConfig cfg;
     cfg.faults = plan;
     FabricHarness h(16, cfg);
 
-    Cycle delivered = invalidCycle;
-    h.fabric.send(1, 2, 5, [&](Cycle at) { delivered = at; });
+    constexpr unsigned kMessages = 30;
+    unsigned delivered = 0;
+    Cycle last = 0;
+    for (unsigned i = 0; i < kMessages; ++i)
+        h.fabric.send(1, 2, 5, [&](Cycle at) {
+            ++delivered;
+            last = at;
+        });
     h.queue.run();
 
-    EXPECT_NE(delivered, invalidCycle);
-    EXPECT_DOUBLE_EQ(h.fabric.watchdogTrips.value(), 1.0);
-    EXPECT_DOUBLE_EQ(h.fabric.degradedMessages.value(), 1.0);
-}
-
-TEST(FaultFabric, FatalWatchdogThrows)
-{
-    sim::FaultPlan plan;
-    plan.linkFaults.push_back(
-        {noc::LinkId{1, noc::Direction::East}.flatten(), 0, 10000});
-    plan.retryBudget = 1000000;
-    plan.watchdogCycles = 50;
-    plan.watchdogFatal = true;
-    OrgConfig cfg;
-    cfg.faults = plan;
-    FabricHarness h(16, cfg);
-
-    h.fabric.send(1, 2, 5, [](Cycle) {});
-    EXPECT_THROW(h.queue.run(), FatalError);
+    EXPECT_EQ(delivered, kMessages);
+    EXPECT_LT(last, 200000u); // none waited out the outage
+    EXPECT_DOUBLE_EQ(h.fabric.degradedMessages.value(), kMessages);
+    // Heads 0-25 degrade on their budget; head 26 passes the watchdog
+    // mid-budget, and heads 27-29 on their first arbitration.
+    EXPECT_DOUBLE_EQ(h.fabric.watchdogTrips.value(), 4.0);
 }
 
 TEST(FaultFabric, GrantLossInjectsAndRetries)
 {
     sim::FaultPlan plan;
     plan.grantLossProb = 1.0;
-    plan.retryBudget = 2;
     OrgConfig cfg;
     cfg.faults = plan;
     FabricHarness h(16, cfg);
@@ -321,7 +331,9 @@ TEST(FaultFabric, GrantLossInjectsAndRetries)
     h.queue.run();
 
     EXPECT_NE(delivered, invalidCycle);
-    EXPECT_GE(h.fabric.faultsInjected.value(), 3.0); // every grant lost
+    // Every grant is lost, through the whole retry budget.
+    EXPECT_DOUBLE_EQ(h.fabric.faultsInjected.value(),
+                     sim::FaultPlan::retryBudget + 1.0);
     EXPECT_DOUBLE_EQ(h.fabric.degradedMessages.value(), 1.0);
 }
 

@@ -375,10 +375,17 @@ TEST(Organizations, ConcurrencyTrackingBalances)
         h.org->translate(i, 1, addrOnSlice(8, 16, i), 0,
                          [](const TranslationResult &) {});
     h.queue.run();
-    EXPECT_EQ(h.org->concurrency.numSamples(), 6u);
+    const sim::LatencyHistogram &chip = h.org->concurrency.value();
+    const sim::LatencyHistogram &slice = h.org->sliceConcurrency.value();
+    EXPECT_EQ(chip.numSamples(), 6u);
+    EXPECT_EQ(slice.numSamples(), 6u);
     // All six target slice 8: the last sampled concurrency must have
-    // seen several outstanding accesses.
-    EXPECT_GT(h.org->concurrency.maxSample(), 1.0);
+    // seen several outstanding accesses, chip-wide and on the slice.
+    EXPECT_GT(chip.maxValue(), 1u);
+    EXPECT_GT(slice.maxValue(), 1u);
+    // A sample counts the access itself, so none is below 1.
+    EXPECT_GE(chip.minValue(), 1u);
+    EXPECT_GE(slice.minValue(), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -144,36 +144,6 @@ TEST(Stats, DumpJsonScalarVector)
         << text;
 }
 
-TEST(Stats, PercentilePointMassReportsBucketValue)
-{
-    // Regression: a >99%-zero streak distribution used to report
-    // p50_est ~ 0.5 because the estimator interpolated within the
-    // bucket holding the rank. The median of a point mass at 0 is 0.
-    StatGroup group("g");
-    Distribution d(&group, "d", "streaks", 0, 64, 1);
-    d.sample(0, 9950);
-    d.sample(3, 40);
-    d.sample(17, 10);
-    EXPECT_DOUBLE_EQ(d.percentileEst(0.50), 0.0);
-    EXPECT_DOUBLE_EQ(d.percentileEst(0.99), 0.0);
-    EXPECT_DOUBLE_EQ(d.percentileEst(0.999), 3.0);
-    EXPECT_DOUBLE_EQ(d.percentileEst(0.9999), 17.0);
-}
-
-TEST(Stats, PercentileBucketLowerEdge)
-{
-    // The bucket holding the rank reports its lower edge: with 2-wide
-    // buckets, samples at 5 land in [4, 6) and the estimate is 4,
-    // clamped up to the recorded minimum when that is larger.
-    StatGroup group("g");
-    Distribution d(&group, "d", "x", 0, 10, 2);
-    d.sample(5, 10);
-    EXPECT_DOUBLE_EQ(d.percentileEst(0.50), 5.0); // clamp to minSample
-    d.sample(1, 1);
-    // Median rank now falls in [4, 6); lower edge 4 >= minSample 1.
-    EXPECT_DOUBLE_EQ(d.percentileEst(0.50), 4.0);
-}
-
 TEST(Stats, DumpJsonDistribution)
 {
     StatGroup group("g");

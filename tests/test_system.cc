@@ -9,7 +9,9 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/nocstar_org.hh"
 #include "cpu/system.hh"
 #include "workload/generator.hh"
 #include "workload/trace.hh"
@@ -241,19 +243,56 @@ TEST(System, StormDriverIssuesShootdowns)
 
 TEST(System, PaperBucketsBinning)
 {
-    stats::StatGroup g("g");
-    stats::Distribution d(&g, "d", "conc", 1, 513, 1);
-    d.sample(1, 40); // bucket "1"
-    d.sample(3, 30); // bucket "2-4"
-    d.sample(7, 20); // bucket "5-8"
-    d.sample(29, 5); // bucket "29+"
-    d.sample(600, 5); // overflow -> "29+"
-    auto bins = System::paperBuckets(d);
+    sim::LatencyHistogram h;
+    h.record(1, 40); // bin "1"
+    h.record(3, 30); // bin "2-4"
+    h.record(7, 20); // bin "5-8"
+    h.record(29, 5); // bin "29+"
+    h.record(600, 5); // a log bucket -> "29+"
+    auto bins = System::paperBuckets(h);
     ASSERT_EQ(bins.size(), 9u);
     EXPECT_NEAR(bins[0], 0.40, 1e-9);
     EXPECT_NEAR(bins[1], 0.30, 1e-9);
     EXPECT_NEAR(bins[2], 0.20, 1e-9);
     EXPECT_NEAR(bins[8], 0.10, 1e-9);
+    EXPECT_EQ(System::paperBuckets(sim::LatencyHistogram{}),
+              std::vector<double>(9, 0.0));
+
+    // Every bin edge, and both sides of the histogram's boundary
+    // between one-value buckets (below 64) and log-linear ones.
+    const struct
+    {
+        std::uint64_t value;
+        std::size_t bin;
+    } rows[] = {
+        {1, 0},   {2, 1},   {4, 1},   {5, 2},   {8, 2},   {9, 3},
+        {12, 3},  {13, 4},  {16, 4},  {17, 5},  {20, 5},  {21, 6},
+        {24, 6},  {25, 7},  {28, 7},  {29, 8},  {63, 8},  {64, 8},
+        {65, 8},  {512, 8}, {513, 8}, {4096, 8},
+    };
+    for (const auto &row : rows) {
+        sim::LatencyHistogram one;
+        one.record(row.value);
+        std::vector<double> expected(9, 0.0);
+        expected[row.bin] = 1.0;
+        EXPECT_EQ(System::paperBuckets(one), expected)
+            << "value " << row.value;
+    }
+}
+
+TEST(System, FabricMaxRetriesIsTheRetriesMax)
+{
+    // A hotspot slice contends the fabric, so some message retries.
+    SystemConfig config = smallConfig(core::OrgKind::Nocstar);
+    config.hotspotSlice = 3;
+    System system(config);
+    RunResult r = system.run(2000);
+    const sim::LatencyHistogram &retries =
+        dynamic_cast<core::NocstarOrg &>(system.organization())
+            .fabric()
+            .retries.value();
+    EXPECT_GT(retries.maxValue(), 0u);
+    EXPECT_EQ(r.fabricMaxRetries, static_cast<double>(retries.maxValue()));
 }
 
 TEST(System, NoAppsIsFatal)
