@@ -19,9 +19,10 @@ namespace
 {
 
 /**
- * A plan with @p dead interior east-links out permanently from cycle
- * 0, spread deterministically across the grid so consecutive counts
- * keep earlier links dead (monotone damage).
+ * A plan with @p dead east-links out permanently from cycle 0, spread
+ * deterministically across the grid so consecutive counts keep earlier
+ * links dead (monotone damage). Placements on the east edge, where no
+ * east link exists, are skipped like duplicates.
  */
 sim::FaultPlan
 deadLinkPlan(const noc::GridTopology &topo, unsigned dead)
@@ -31,13 +32,15 @@ deadLinkPlan(const noc::GridTopology &topo, unsigned dead)
     for (unsigned i = 0; placed < dead; ++i) {
         unsigned x = 1 + (i * 3) % (topo.width() - 1);
         unsigned y = (i * 5 + 2) % topo.height();
-        noc::LinkId link{y * topo.width() + x, noc::Direction::East};
-        bool duplicate = false;
+        std::uint32_t link =
+            noc::LinkId{y * topo.width() + x, noc::Direction::East}
+                .flatten();
+        bool skip = !topo.hasLink(link);
         for (const sim::LinkFaultSpec &f : plan.linkFaults)
-            duplicate |= f.link == link.flatten();
-        if (duplicate)
+            skip |= f.link == link;
+        if (skip)
             continue;
-        plan.linkFaults.push_back({link.flatten(), 0, 0});
+        plan.linkFaults.push_back({link, 0, 0});
         ++placed;
     }
     return plan;
@@ -64,59 +67,54 @@ main(int argc, char **argv)
     const unsigned deadCounts[] = {0, 1, 2, 4, 8, 16};
     const double lossRates[] = {0.001, 0.01, 0.05, 0.1};
     const char *focus[] = {"gups", "graph500", "xsbench"};
-    constexpr std::size_t numFocus = 3;
 
-    std::vector<bench::SimJob> jobs;
+    // Per workload, against a healthy private baseline: NOCSTAR with
+    // each dead-link count, then with each grant-loss rate.
+    std::vector<bench::VsPrivateRow> rows;
     for (const char *name : focus) {
-        const auto &spec = workload::findWorkload(name);
-        jobs.push_back({bench::makeConfig(core::OrgKind::Private,
-                                          cores, spec),
-                        args.accesses});
+        auto config = bench::makeConfig(core::OrgKind::Private, cores,
+                                        workload::findWorkload(name));
+        bench::VsPrivateRow &row = rows.emplace_back();
+        row.baseline = {config, args.accesses};
+        config.org.kind = core::OrgKind::Nocstar;
         for (unsigned dead : deadCounts) {
-            auto config =
-                bench::makeConfig(core::OrgKind::Nocstar, cores, spec);
             config.org.faults = deadLinkPlan(topo, dead);
-            jobs.push_back({config, args.accesses});
+            row.variants.push_back({config, args.accesses});
         }
+        config.org.faults = {};
         for (double rate : lossRates) {
-            auto config =
-                bench::makeConfig(core::OrgKind::Nocstar, cores, spec);
             config.org.faults.grantLossProb = rate;
-            jobs.push_back({config, args.accesses});
+            row.variants.push_back({config, args.accesses});
         }
     }
 
     bench::SweepHarness harness("fault", args.run, args.jobs);
-    auto results = harness.runMany(jobs);
+    const auto results = harness.runVsPrivate(rows);
 
-    constexpr std::size_t perWorkload = 1 + 6 + 4;
-
+    // Each row's variants: the dead-link runs, then the loss runs.
+    const std::size_t numDead = std::size(deadCounts);
     std::printf("Ablation: NOCSTAR speedup vs healthy private as "
                 "links die (%u cores)\n",
                 cores);
     bench::printHeader("workload", {"dead0", "dead1", "dead2", "dead4",
                                     "dead8", "dead16", "degr16%"});
-    for (std::size_t w = 0; w < numFocus; ++w) {
-        const auto &priv = results[w * perWorkload];
+    for (std::size_t w = 0; w < rows.size(); ++w) {
         std::vector<double> row;
-        double degraded16 = 0;
-        for (std::size_t i = 0; i < 6; ++i) {
-            const auto &r = results[w * perWorkload + 1 + i];
-            row.push_back(bench::speedupVsPrivate(priv, r));
-            degraded16 = 100.0 * r.degradedFraction;
+        double degraded = 0; // of the most links dead
+        for (std::size_t i = 0; i < numDead; ++i) {
+            row.push_back(results[w].speedup(i));
+            degraded = 100.0 * results[w].variants[i].degradedFraction;
         }
-        row.push_back(degraded16);
+        row.push_back(degraded);
         bench::printRow(focus[w], row);
     }
 
     std::printf("\nAblation: transient grant loss (retry + backoff)\n");
     bench::printHeader("workload", {"p.001", "p.01", "p.05", "p.1"});
-    for (std::size_t w = 0; w < numFocus; ++w) {
-        const auto &priv = results[w * perWorkload];
+    for (std::size_t w = 0; w < rows.size(); ++w) {
         std::vector<double> row;
-        for (std::size_t i = 0; i < 4; ++i)
-            row.push_back(bench::speedupVsPrivate(
-                priv, results[w * perWorkload + 7 + i]));
+        for (std::size_t i = numDead; i < results[w].variants.size(); ++i)
+            row.push_back(results[w].speedup(i));
         bench::printRow(focus[w], row);
     }
     return 0;

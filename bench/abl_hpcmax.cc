@@ -20,39 +20,24 @@ main(int argc, char **argv)
         "NOCSTAR speedup vs private as HPCmax varies (64 cores)");
     const unsigned hpcs[] = {1, 2, 4, 8, 16};
 
-    // Per workload: private, then NOCSTAR at each HPCmax.
-    std::vector<bench::SimJob> jobs;
+    // Per workload: NOCSTAR at each HPCmax against private.
+    std::vector<bench::VsPrivateRow> rows;
     for (const auto &spec : workload::paperWorkloads()) {
-        jobs.push_back({bench::makeConfig(core::OrgKind::Private, 64,
-                                          spec),
-                        args.accesses});
+        auto config = bench::makeConfig(core::OrgKind::Private, 64, spec);
+        bench::VsPrivateRow &row = rows.emplace_back();
+        row.baseline = {config, args.accesses};
+        config.org.kind = core::OrgKind::Nocstar;
         for (unsigned hpc : hpcs) {
-            auto config =
-                bench::makeConfig(core::OrgKind::Nocstar, 64, spec);
             config.org.hpcMax = hpc;
-            jobs.push_back({config, args.accesses});
+            row.variants.push_back({config, args.accesses});
         }
     }
     bench::SweepHarness harness("abl_hpcmax", args.run, args.jobs);
-    auto results = harness.runMany(jobs);
-    const cpu::RunResult *next = results.data();
+    const auto results = harness.runVsPrivate(rows);
 
     std::printf("Ablation: NOCSTAR speedup vs private as HPCmax "
                 "varies (64 cores)\n");
-    bench::printHeader("workload",
-                       {"hpc1", "hpc2", "hpc4", "hpc8", "hpc16"});
-
-    std::vector<double> averages(5, 0.0);
-    for (const auto &spec : workload::paperWorkloads()) {
-        const cpu::RunResult &priv = *next++;
-        std::vector<double> row;
-        for (std::size_t i = 0; i < 5; ++i) {
-            double s = bench::speedupVsPrivate(priv, *next++);
-            row.push_back(s);
-            averages[i] += s / 11.0;
-        }
-        bench::printRow(spec.name, row);
-    }
-    bench::printRow("average", averages);
+    bench::printWorkloadTable({"hpc1", "hpc2", "hpc4", "hpc8", "hpc16"},
+                              results);
     return 0;
 }

@@ -21,37 +21,30 @@ main(int argc, char **argv)
     const auto &spec = workload::findWorkload("gups");
     const Cycle epochs[] = {10u, 100u, 1000u, 10000u, 1000000u};
 
-    // The private baseline, then one NOCSTAR run per epoch; every run
+    // One row: a NOCSTAR run per epoch against private; every run
     // sends a share of its accesses to slice 0 to concentrate
     // contention.
-    std::vector<bench::SimJob> jobs;
-    auto priv_config =
-        bench::makeConfig(core::OrgKind::Private, 32, spec);
-    priv_config.hotspotSlice = 0;
-    jobs.push_back({priv_config, args.accesses});
+    auto config = bench::makeConfig(core::OrgKind::Private, 32, spec);
+    config.hotspotSlice = 0;
+    bench::VsPrivateRow row{{config, args.accesses}, {}};
+    config.org.kind = core::OrgKind::Nocstar;
     for (Cycle epoch : epochs) {
-        auto config = bench::makeConfig(core::OrgKind::Nocstar, 32,
-                                        spec);
         config.org.priorityEpoch = epoch;
-        config.hotspotSlice = 0;
-        jobs.push_back({config, args.accesses});
+        row.variants.push_back({config, args.accesses});
     }
     bench::SweepHarness harness("abl_priority_epoch", args.run,
                                 args.jobs);
-    auto results = harness.runMany(jobs);
-    const cpu::RunResult &priv = results.front();
+    const bench::VsPrivateResult result = harness.runVsPrivate(row);
 
     std::printf("Ablation: priority rotation epoch (gups, 32 cores, "
                 "hot slice 0)\n");
     std::printf("%10s %12s %12s %14s\n", "epoch", "speedup",
                 "avg net lat", "max retries");
-    const cpu::RunResult *next = &results[1];
-    for (Cycle epoch : epochs) {
-        const cpu::RunResult &result = *next++;
+    for (std::size_t e = 0; e < std::size(epochs); ++e)
         std::printf("%10llu %12.3f %12.2f %14.0f\n",
-                    static_cast<unsigned long long>(epoch),
-                    bench::speedupVsPrivate(priv, result),
-                    result.fabricAvgLatency, result.fabricMaxRetries);
-    }
+                    static_cast<unsigned long long>(epochs[e]),
+                    result.speedup(e),
+                    result.variants[e].fabricAvgLatency,
+                    result.variants[e].fabricMaxRetries);
     return 0;
 }

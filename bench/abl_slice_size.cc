@@ -21,42 +21,30 @@ main(int argc, char **argv)
     const std::uint32_t sliceEntries[] = {512u,  768u,  920u,
                                           1024u, 1536u, 2048u};
 
-    // One private baseline per workload, then per slice size one
-    // NOCSTAR run per workload.
-    const auto &workloads = workload::paperWorkloads();
-    std::vector<bench::SimJob> jobs;
-    for (const auto &spec : workloads)
-        jobs.push_back({bench::makeConfig(core::OrgKind::Private, 32,
-                                          spec),
-                        args.accesses});
-    for (std::uint32_t entries : sliceEntries) {
-        for (const auto &spec : workloads) {
-            auto config =
-                bench::makeConfig(core::OrgKind::Nocstar, 32, spec);
+    // Per workload: NOCSTAR at each slice size against private.
+    std::vector<bench::VsPrivateRow> rows;
+    for (const auto &spec : workload::paperWorkloads()) {
+        auto config = bench::makeConfig(core::OrgKind::Private, 32, spec);
+        bench::VsPrivateRow &row = rows.emplace_back();
+        row.baseline = {config, args.accesses};
+        config.org.kind = core::OrgKind::Nocstar;
+        for (std::uint32_t entries : sliceEntries) {
             config.org.nocstarSliceEntries = entries;
-            jobs.push_back({config, args.accesses});
+            row.variants.push_back({config, args.accesses});
         }
     }
     bench::SweepHarness harness("abl_slice_size", args.run, args.jobs);
-    auto results = harness.runMany(jobs);
-    const cpu::RunResult *privs = results.data();
-    const cpu::RunResult *next = privs + workloads.size();
+    const auto results = harness.runVsPrivate(rows);
 
     std::printf("Ablation: NOCSTAR slice entries (32 cores, average "
                 "across workloads)\n");
     std::printf("%10s %12s %12s\n", "entries", "speedup",
                 "l2 missrate");
-
-    for (std::uint32_t entries : sliceEntries) {
-        double avg_speedup = 0, avg_missrate = 0;
-        for (std::size_t w = 0; w < workloads.size(); ++w) {
-            const cpu::RunResult &result = *next++;
-            avg_speedup +=
-                bench::speedupVsPrivate(privs[w], result) / 11.0;
-            avg_missrate += result.l2MissRate / 11.0;
-        }
-        std::printf("%10u %12.3f %12.3f\n", entries, avg_speedup,
-                    avg_missrate);
-    }
+    for (std::size_t e = 0; e < std::size(sliceEntries); ++e)
+        std::printf("%10u %12.3f %12.3f\n", sliceEntries[e],
+                    bench::speedupSummary(results, e).mean,
+                    bench::summarize(results, [e](const auto &r) {
+                        return r.variants[e].l2MissRate;
+                    }).mean);
     return 0;
 }

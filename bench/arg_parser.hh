@@ -17,46 +17,16 @@
 #ifndef NOCSTAR_BENCH_ARG_PARSER_HH
 #define NOCSTAR_BENCH_ARG_PARSER_HH
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "sim/parse.hh"
+
 namespace nocstar::bench
 {
-
-/** Full-consumption unsigned parse; rejects trailing garbage. */
-inline bool
-parseUnsigned(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty() || text[0] == '-')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
-
-/** Full-consumption double parse; rejects trailing garbage. */
-inline bool
-parseDouble(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
 
 /** One registered option, flag or positional. */
 struct ArgSpec
@@ -103,7 +73,7 @@ class ArgParser
     {
         return valueSpec(name, metavar, help,
                          [out](const std::string &v) {
-                             return parseUnsigned(v, *out);
+                             return sim::parseUnsigned(v, *out);
                          });
     }
 
@@ -114,7 +84,7 @@ class ArgParser
         return valueSpec(name, metavar, help,
                          [out](const std::string &v) {
                              std::uint64_t wide = 0;
-                             if (!parseUnsigned(v, wide) ||
+                             if (!sim::parseUnsigned(v, wide) ||
                                  wide > 0xffffffffULL)
                                  return false;
                              *out = static_cast<unsigned>(wide);
@@ -128,7 +98,7 @@ class ArgParser
     {
         return valueSpec(name, metavar, help,
                          [out](const std::string &v) {
-                             return parseDouble(v, *out);
+                             return sim::parseDouble(v, *out);
                          });
     }
 
@@ -195,7 +165,7 @@ class ArgParser
     {
         return positionalSpec(metavar, help, required,
                               [out](const std::string &v) {
-                                  return parseUnsigned(v, *out);
+                                  return sim::parseUnsigned(v, *out);
                               });
     }
 
@@ -206,7 +176,7 @@ class ArgParser
         return positionalSpec(metavar, help, required,
                               [out](const std::string &v) {
                                   std::uint64_t wide = 0;
-                                  if (!parseUnsigned(v, wide) ||
+                                  if (!sim::parseUnsigned(v, wide) ||
                                       wide > 0xffffffffULL)
                                       return false;
                                   *out = static_cast<unsigned>(wide);

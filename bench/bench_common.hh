@@ -11,22 +11,32 @@
  * simulations: it lays the options over every configuration,
  * validates them, and fans the independent simulations out over a
  * thread pool (--jobs flag / NOCSTAR_JOBS env var, hardware
- * concurrency by default). Results come back in input order and each
- * simulation is deterministic given its config, so a bench's stdout is
+ * concurrency by default, never more than the host's hardware
+ * threads). Results come back in input order and each simulation is
+ * deterministic given its config, so a bench's stdout is
  * byte-identical at any job count; all timing output goes to stderr
  * and a machine-readable BENCH_<name>.json so the perf trajectory can
  * be tracked across changes without perturbing the tables.
+ *
+ * Nearly every figure reports speedups over private L2 TLBs. Those
+ * benches describe rows -- a private baseline plus the variants
+ * compared against it -- and SweepHarness::runVsPrivate() lays the rows
+ * out, runs them as one sweep and pairs each variant with its
+ * baseline; summarize() and printWorkloadTable() condense the rows.
  */
 
 #ifndef NOCSTAR_BENCH_COMMON_HH
 #define NOCSTAR_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -118,7 +128,7 @@ parseSampleSpec(const std::string &spec, cpu::SamplingConfig &out)
             start, comma == std::string::npos ? std::string::npos
                                               : comma - start);
         std::uint64_t v = 0;
-        if (!parseUnsigned(field, v))
+        if (!sim::parseUnsigned(field, v))
             return false;
         parts.push_back(v);
         if (comma == std::string::npos)
@@ -209,7 +219,7 @@ RunOptions::addTo(ArgParser &parser)
         "progress", [this] { progressSeconds = 2.0; },
         [this](const std::string &value) {
             double seconds = 0;
-            if (!parseDouble(value, seconds) || seconds < 0)
+            if (!sim::parseDouble(value, seconds) || seconds < 0)
                 return false;
             progressSeconds = seconds;
             return true;
@@ -259,7 +269,7 @@ RunOptions::addTo(ArgParser &parser)
         "fault-seed",
         [this](const std::string &value) {
             std::uint64_t seed = 0;
-            if (!parseUnsigned(value, seed))
+            if (!sim::parseUnsigned(value, seed))
                 return false;
             faultSeed = seed;
             return true;
@@ -298,6 +308,118 @@ struct SimJob
     cpu::SystemConfig config;
     std::uint64_t accesses = defaultAccesses;
 };
+
+/**
+ * Speedup of @p other against a private-L2-TLB @p baseline, as the
+ * ratio of mean thread finish times. A sampled run's meanCycles
+ * includes its nominal fast-forward advance, so the ratio would be
+ * wrong: a sampled result on either side exits 2.
+ */
+inline double
+speedupVsPrivate(const cpu::RunResult &baseline,
+                 const cpu::RunResult &other)
+{
+    if (baseline.sampled || other.sampled) {
+        std::fprintf(stderr,
+                     "error: speedups need full-detail runs, and --sample "
+                     "inflates mean cycles with its fast-forward "
+                     "advance\n");
+        std::exit(2);
+    }
+    return other.meanCycles > 0 ? baseline.meanCycles / other.meanCycles
+                                : 0.0;
+}
+
+/** One row of a figure: a private-L2-TLB baseline and the variants
+ * compared against it. */
+struct VsPrivateRow
+{
+    SimJob baseline;
+    std::vector<SimJob> variants;
+};
+
+/**
+ * The row comparing organizations @p kinds with private L2 TLBs on
+ * @p config: the baseline is @p config as a private organization, each
+ * variant @p config as one of @p kinds, all run for @p accesses.
+ */
+inline VsPrivateRow
+orgsRow(cpu::SystemConfig config, std::uint64_t accesses,
+        const std::vector<core::OrgKind> &kinds)
+{
+    VsPrivateRow row;
+    for (core::OrgKind kind : kinds) {
+        config.org.kind = kind;
+        row.variants.push_back({config, accesses});
+    }
+    config.org.kind = core::OrgKind::Private;
+    row.baseline = {std::move(config), accesses};
+    return row;
+}
+
+/** The results of one VsPrivateRow. */
+struct VsPrivateResult
+{
+    cpu::RunResult baseline;
+    std::vector<cpu::RunResult> variants;
+
+    /** Speedup of variant @p i over the baseline. */
+    double
+    speedup(std::size_t i) const
+    {
+        return speedupVsPrivate(baseline, variants.at(i));
+    }
+};
+
+/** Min, mean and max of one column over a range of rows. */
+struct ColumnSummary
+{
+    double min = std::numeric_limits<double>::infinity();
+    double mean = 0;
+    double max = -std::numeric_limits<double>::infinity();
+};
+
+/**
+ * Summary of @p value (one number per row) over @p rows. The mean adds
+ * value / n row by row, in row order -- the sum the figures have always
+ * printed, so an average keeps every digit.
+ */
+template <typename Rows, typename Value>
+ColumnSummary
+summarize(const Rows &rows, Value value)
+{
+    ColumnSummary summary;
+    const double n = static_cast<double>(std::size(rows));
+    for (const auto &row : rows) {
+        const double v = value(row);
+        summary.min = std::min(summary.min, v);
+        summary.max = std::max(summary.max, v);
+        summary.mean += v / n;
+    }
+    return summary;
+}
+
+/** summarize() of variant @p k's speedups. */
+inline ColumnSummary
+speedupSummary(const std::vector<VsPrivateResult> &rows, std::size_t k)
+{
+    return summarize(rows, [k](const VsPrivateResult &row) {
+        return row.speedup(k);
+    });
+}
+
+/**
+ * Workers for a sweep: @p requested (0 = NOCSTAR_JOBS, then hardware
+ * concurrency) capped at the host's @p hardware threads, at least 1.
+ * More workers than hardware threads only contend, and an unbounded
+ * count would exhaust the process's threads before the first run.
+ */
+inline unsigned
+sweepWorkers(unsigned requested, unsigned hardware)
+{
+    const unsigned wanted = requested ? requested : sim::defaultJobs();
+    return std::min(wanted, std::max(hardware, 1u));
+}
 
 /** The command line of a sweep bench: run length, pool size, and the
  * run options it shares with examples/simulate. */
@@ -404,20 +526,28 @@ class SweepHarness
 {
   public:
     /**
-     * @p jobs sizes the pool (0 = NOCSTAR_JOBS, then hardware
-     * concurrency). --trace forces one worker: the structured recorder
-     * is one process-wide ring, so concurrent simulations would
-     * interleave their events.
+     * @p jobs sizes the pool through sweepWorkers(). --trace forces one
+     * worker: the structured recorder is one process-wide ring, so
+     * concurrent simulations would interleave their events.
      */
     SweepHarness(std::string name, RunOptions options, unsigned jobs)
         : name_(std::move(name)), options_(std::move(options)),
-          pool_(options_.trace ? 1 : jobs),
+          pool_(options_.trace
+                    ? 1
+                    : sweepWorkers(jobs,
+                                   std::thread::hardware_concurrency())),
           start_(std::chrono::steady_clock::now())
     {
         if (options_.trace) {
             if (jobs > 1)
                 std::fprintf(stderr, "note: --trace forces --jobs 1\n");
             sim::TraceRecorder::global().start();
+        } else if (const unsigned wanted = jobs ? jobs : sim::defaultJobs();
+                   this->jobs() < wanted) {
+            std::fprintf(stderr,
+                         "note: %u jobs capped at the host's %u hardware "
+                         "threads\n",
+                         wanted, this->jobs());
         }
     }
 
@@ -479,6 +609,24 @@ class SweepHarness
         return results;
     }
 
+    /**
+     * Run @p rows -- one VsPrivateRow, or a std::vector of them nested
+     * to any depth -- as one sweep and return the same shape with each
+     * row's VsPrivateResult. The jobs are laid out row by row (the
+     * baseline, then its variants) in the order the rows are given, so
+     * --stats-json lines follow that order.
+     */
+    template <typename Rows>
+    auto
+    runVsPrivate(const Rows &rows)
+    {
+        std::vector<SimJob> jobs;
+        layOut(rows, jobs);
+        std::vector<cpu::RunResult> results = runMany(jobs);
+        auto next = results.begin();
+        return pairUp(rows, next);
+    }
+
     /** Write the timing artifacts; idempotent. */
     void
     finish()
@@ -527,6 +675,44 @@ class SweepHarness
     }
 
   private:
+    using ResultIt = std::vector<cpu::RunResult>::iterator;
+
+    static void
+    layOut(const VsPrivateRow &row, std::vector<SimJob> &jobs)
+    {
+        jobs.push_back(row.baseline);
+        jobs.insert(jobs.end(), row.variants.begin(), row.variants.end());
+    }
+
+    template <typename Rows>
+    static void
+    layOut(const std::vector<Rows> &rows, std::vector<SimJob> &jobs)
+    {
+        for (const Rows &row : rows)
+            layOut(row, jobs);
+    }
+
+    /** Take @p row's results from @p next, in layOut() order. */
+    static VsPrivateResult
+    pairUp(const VsPrivateRow &row, ResultIt &next)
+    {
+        VsPrivateResult result{std::move(*next++), {}};
+        for (std::size_t i = 0; i < row.variants.size(); ++i)
+            result.variants.push_back(std::move(*next++));
+        return result;
+    }
+
+    template <typename Rows>
+    static auto
+    pairUp(const std::vector<Rows> &rows, ResultIt &next)
+    {
+        std::vector<decltype(pairUp(std::declval<const Rows &>(), next))>
+            results;
+        for (const Rows &row : rows)
+            results.push_back(pairUp(row, next));
+        return results;
+    }
+
     /** Lay the run options over every job and validate the lot;
      * exits 2 listing every problem. */
     std::vector<SimJob>
@@ -588,27 +774,6 @@ class SweepHarness
 };
 
 /**
- * Speedup of @p other against a private-L2-TLB @p baseline, as the
- * ratio of mean thread finish times. A sampled run's meanCycles
- * includes its nominal fast-forward advance, so the ratio would be
- * wrong: a sampled result on either side exits 2.
- */
-inline double
-speedupVsPrivate(const cpu::RunResult &baseline,
-                 const cpu::RunResult &other)
-{
-    if (baseline.sampled || other.sampled) {
-        std::fprintf(stderr,
-                     "error: speedups need full-detail runs, and --sample "
-                     "inflates mean cycles with its fast-forward "
-                     "advance\n");
-        std::exit(2);
-    }
-    return other.meanCycles > 0 ? baseline.meanCycles / other.meanCycles
-                                : 0.0;
-}
-
-/**
  * Render the per-link occupancy heatmap from a fabric's
  * link_hold_cycles vector: one row per tile, the E/W/N/S output links
  * of each tile as the fraction of @p cycles they were held. Written to
@@ -656,6 +821,28 @@ printHeader(const std::string &label,
     for (const std::string &c : columns)
         std::printf("%*s", width, c.c_str());
     std::printf("\n");
+}
+
+/**
+ * The table most speedup figures print: a header of @p columns, one row
+ * of variant speedups per paper workload (@p rows in paperWorkloads()
+ * order) and an `average` row.
+ */
+inline void
+printWorkloadTable(const std::vector<std::string> &columns,
+                   const std::vector<VsPrivateResult> &rows)
+{
+    printHeader("workload", columns);
+    std::vector<double> averages;
+    for (std::size_t k = 0; k < columns.size(); ++k)
+        averages.push_back(speedupSummary(rows, k).mean);
+    for (std::size_t w = 0; w < rows.size(); ++w) {
+        std::vector<double> speedups;
+        for (std::size_t k = 0; k < columns.size(); ++k)
+            speedups.push_back(rows[w].speedup(k));
+        printRow(workload::paperWorkloads().at(w).name, speedups);
+    }
+    printRow("average", averages);
 }
 
 } // namespace nocstar::bench

@@ -30,19 +30,17 @@ main(int argc, char **argv)
                           std::to_string(args.accesses) + ")");
     parser.parseOrExit(argc, argv);
 
-    // Per workload: private, then the four shared organizations.
-    const core::OrgKind kinds[] = {
-        core::OrgKind::Private, core::OrgKind::MonolithicMesh,
-        core::OrgKind::Distributed, core::OrgKind::Nocstar,
-        core::OrgKind::IdealShared};
-    std::vector<bench::SimJob> jobs;
-    for (const auto &spec : workload::paperWorkloads())
-        for (core::OrgKind kind : kinds)
-            jobs.push_back(
-                {bench::makeConfig(kind, cores, spec), args.accesses});
+    // Per workload: the four shared organizations against private.
+    const auto &specs = workload::paperWorkloads();
+    std::vector<bench::VsPrivateRow> rows;
+    for (const auto &spec : specs)
+        rows.push_back(bench::orgsRow(
+            bench::makeConfig(core::OrgKind::Private, cores, spec),
+            args.accesses,
+            {core::OrgKind::MonolithicMesh, core::OrgKind::Distributed,
+             core::OrgKind::Nocstar, core::OrgKind::IdealShared}));
     bench::SweepHarness harness("calibrate", args.run, args.jobs);
-    auto results = harness.runMany(jobs);
-    const cpu::RunResult *next = results.data();
+    const auto results = harness.runVsPrivate(rows);
 
     std::printf("calibration @ %u cores, %llu accesses/thread\n", cores,
                 static_cast<unsigned long long>(args.accesses));
@@ -50,12 +48,13 @@ main(int argc, char **argv)
                 "workload", "l1m%", "l2m%", "elim%", "walk", ">L2%",
                 "ipcP", "mono", "dist", "nstar", "ideal");
 
-    for (const auto &spec : workload::paperWorkloads()) {
-        const cpu::RunResult &priv = *next++;
-        const cpu::RunResult &mono = *next++;
-        const cpu::RunResult &dist = *next++;
-        const cpu::RunResult &nstar = *next++;
-        const cpu::RunResult &ideal = *next++;
+    for (std::size_t w = 0; w < specs.size(); ++w) {
+        const bench::VsPrivateResult &r = results[w];
+        const cpu::RunResult &priv = r.baseline;
+        const cpu::RunResult &mono = r.variants[0];
+        const cpu::RunResult &dist = r.variants[1];
+        const cpu::RunResult &nstar = r.variants[2];
+        const cpu::RunResult &ideal = r.variants[3];
 
         double l1m = priv.l1Accesses
             ? 100.0 * static_cast<double>(priv.l1Misses) /
@@ -69,13 +68,10 @@ main(int argc, char **argv)
         std::printf(
             "%-16s %6.2f %6.2f %6.1f %6.1f %6.1f %6.3f | %6.3f %6.3f "
             "%6.3f %6.3f | lat %5.1f %5.1f %5.1f %5.1f %5.1f net %4.2f\n",
-            spec.name.c_str(), l1m, 100.0 * priv.l2MissRate, elim,
+            specs[w].name.c_str(), l1m, 100.0 * priv.l2MissRate, elim,
             priv.avgWalkLatency, 100.0 * priv.beyondL2Fraction,
-            priv.ipc, bench::speedupVsPrivate(priv, mono),
-            bench::speedupVsPrivate(priv, dist),
-            bench::speedupVsPrivate(priv, nstar),
-            bench::speedupVsPrivate(priv, ideal),
-            priv.avgL2AccessLatency, mono.avgL2AccessLatency,
+            priv.ipc, r.speedup(0), r.speedup(1), r.speedup(2),
+            r.speedup(3), priv.avgL2AccessLatency, mono.avgL2AccessLatency,
             dist.avgL2AccessLatency, nstar.avgL2AccessLatency,
             ideal.avgL2AccessLatency, nstar.fabricAvgLatency);
     }

@@ -18,39 +18,41 @@ main(int argc, char **argv)
         "Fig 2: private L2 TLB misses eliminated by a shared L2");
     const unsigned coreCounts[] = {16u, 32u, 64u};
 
-    // Per workload and core count: the private baseline, then the
-    // distributed shared L2.
-    std::vector<bench::SimJob> jobs;
-    for (const auto &spec : workload::paperWorkloads())
+    // Per workload, one row per core count: the distributed shared L2
+    // against the private baseline.
+    const auto &specs = workload::paperWorkloads();
+    std::vector<std::vector<bench::VsPrivateRow>> rows(specs.size());
+    for (std::size_t w = 0; w < specs.size(); ++w)
         for (unsigned cores : coreCounts)
-            for (core::OrgKind kind :
-                 {core::OrgKind::Private, core::OrgKind::Distributed})
-                jobs.push_back({bench::makeConfig(kind, cores, spec),
-                                args.accesses * 16 / cores});
+            rows[w].push_back(bench::orgsRow(
+                bench::makeConfig(core::OrgKind::Private, cores, specs[w]),
+                args.accesses * 16 / cores, {core::OrgKind::Distributed}));
     bench::SweepHarness harness("fig02_shared_hit_rate", args.run,
                                 args.jobs);
-    auto results = harness.runMany(jobs);
-    const cpu::RunResult *next = results.data();
+    const auto results = harness.runVsPrivate(rows);
 
     std::printf("Fig 2: %% of private L2 TLB misses eliminated by a "
                 "shared L2 TLB\n");
     bench::printHeader("workload", {"16-core", "32-core", "64-core"});
 
-    std::vector<double> averages(3, 0.0);
-    for (const auto &spec : workload::paperWorkloads()) {
+    auto eliminated = [](const bench::VsPrivateResult &r) {
+        return r.baseline.l2Misses
+            ? 100.0 * (1.0 -
+                       static_cast<double>(r.variants[0].l2Misses) /
+                           static_cast<double>(r.baseline.l2Misses))
+            : 0.0;
+    };
+    std::vector<double> averages;
+    for (std::size_t c = 0; c < std::size(coreCounts); ++c)
+        averages.push_back(
+            bench::summarize(results, [&](const auto &byCores) {
+                return eliminated(byCores[c]);
+            }).mean);
+    for (std::size_t w = 0; w < specs.size(); ++w) {
         std::vector<double> row;
-        for (std::size_t i = 0; i < 3; ++i) {
-            const cpu::RunResult &priv = *next++;
-            const cpu::RunResult &shared = *next++;
-            double elim = priv.l2Misses
-                ? 100.0 * (1.0 -
-                           static_cast<double>(shared.l2Misses) /
-                               static_cast<double>(priv.l2Misses))
-                : 0.0;
-            row.push_back(elim);
-            averages[i] += elim / 11.0;
-        }
-        bench::printRow(spec.name, row, "%10.1f");
+        for (const bench::VsPrivateResult &r : results[w])
+            row.push_back(eliminated(r));
+        bench::printRow(specs[w].name, row, "%10.1f");
     }
     bench::printRow("Avg", averages, "%10.1f");
     return 0;

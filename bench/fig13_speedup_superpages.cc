@@ -17,39 +17,21 @@ main(int argc, char **argv)
     constexpr unsigned cores = 16;
     auto args = bench::parseBenchArgs(argc, argv, 12000);
 
+    std::vector<bench::VsPrivateRow> rows;
+    for (const auto &spec : workload::paperWorkloads())
+        rows.push_back(bench::orgsRow(
+            bench::makeConfig(core::OrgKind::Private, cores, spec),
+            args.accesses,
+            {core::OrgKind::MonolithicMesh, core::OrgKind::Distributed,
+             core::OrgKind::Nocstar, core::OrgKind::IdealShared}));
+
+    bench::SweepHarness harness("fig13_speedup_superpages", args.run,
+                                args.jobs);
+    const auto results = harness.runVsPrivate(rows);
+
     std::printf("Fig 13: speedup vs private L2 TLBs, 16 cores, "
                 "transparent superpages\n");
-    bench::printHeader("workload",
-                       {"mono", "dist", "nocstar", "ideal"});
-
-    const core::OrgKind kinds[] = {
-        core::OrgKind::Private, core::OrgKind::MonolithicMesh,
-        core::OrgKind::Distributed, core::OrgKind::Nocstar,
-        core::OrgKind::IdealShared};
-    constexpr std::size_t numKinds = 5;
-
-    const auto &specs = workload::paperWorkloads();
-    std::vector<bench::SimJob> jobs;
-    for (const auto &spec : specs)
-        for (core::OrgKind kind : kinds)
-            jobs.push_back(
-                {bench::makeConfig(kind, cores, spec), args.accesses});
-
-    bench::SweepHarness harness("fig13_speedup_superpages", args.run, args.jobs);
-    auto results = harness.runMany(jobs);
-
-    std::vector<double> averages(4, 0.0);
-    for (std::size_t w = 0; w < specs.size(); ++w) {
-        const auto &priv = results[w * numKinds];
-        std::vector<double> row;
-        for (std::size_t i = 1; i < numKinds; ++i) {
-            double speedup = bench::speedupVsPrivate(
-                priv, results[w * numKinds + i]);
-            row.push_back(speedup);
-            averages[i - 1] += speedup / 11.0;
-        }
-        bench::printRow(specs[w].name, row);
-    }
-    bench::printRow("average", averages);
+    bench::printWorkloadTable({"mono", "dist", "nocstar", "ideal"},
+                              results);
     return 0;
 }

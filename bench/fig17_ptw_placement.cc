@@ -19,49 +19,42 @@ main(int argc, char **argv)
         "Fig 17: page-table-walker placement (local vs remote walk)");
     const unsigned coreCounts[] = {16u, 32u, 64u};
     const char *focus[] = {"canneal", "graph500", "gups", "xsbench"};
-    const core::PtwPlacement placements[] = {
-        core::PtwPlacement::Requester, core::PtwPlacement::Remote};
 
-    // Per core count and workload: private, then NOCSTAR walking at
-    // the requester and at the remote slice owner.
-    std::vector<bench::SimJob> jobs;
+    // Per core count, one row per workload: NOCSTAR walking at the
+    // requester, then at the remote slice owner.
+    std::vector<std::vector<bench::VsPrivateRow>> rows;
     for (unsigned cores : coreCounts) {
         std::uint64_t accesses = args.accesses * 16 / cores + 2000;
+        auto &byWorkload = rows.emplace_back();
         for (const char *name : focus) {
-            const auto &spec = workload::findWorkload(name);
-            jobs.push_back({bench::makeConfig(core::OrgKind::Private,
-                                              cores, spec),
-                            accesses});
-            for (auto placement : placements) {
-                auto config = bench::makeConfig(core::OrgKind::Nocstar,
-                                                cores, spec);
+            auto config = bench::makeConfig(
+                core::OrgKind::Private, cores,
+                workload::findWorkload(name));
+            bench::VsPrivateRow &row = byWorkload.emplace_back();
+            row.baseline = {config, accesses};
+            config.org.kind = core::OrgKind::Nocstar;
+            for (auto placement : {core::PtwPlacement::Requester,
+                                   core::PtwPlacement::Remote}) {
                 config.org.ptwPlacement = placement;
-                jobs.push_back({config, accesses});
+                row.variants.push_back({config, accesses});
             }
         }
     }
     bench::SweepHarness harness("fig17_ptw_placement", args.run,
                                 args.jobs);
-    auto results = harness.runMany(jobs);
-    const cpu::RunResult *next = results.data();
+    const auto results = harness.runVsPrivate(rows);
 
     std::printf("Fig 17: page walk placement, speedup vs private\n");
     std::printf("%8s %-12s %10s %10s\n", "cores", "workload",
                 "request", "remote");
-    for (unsigned cores : coreCounts) {
-        double avg[2] = {0, 0};
-        for (const char *name : focus) {
-            const cpu::RunResult &priv = *next++;
-            double speedups[2];
-            for (int i = 0; i < 2; ++i) {
-                speedups[i] = bench::speedupVsPrivate(priv, *next++);
-                avg[i] += speedups[i] / 4.0;
-            }
-            std::printf("%8u %-12s %10.3f %10.3f\n", cores, name,
-                        speedups[0], speedups[1]);
-        }
-        std::printf("%8u %-12s %10.3f %10.3f\n", cores, "average",
-                    avg[0], avg[1]);
+    for (std::size_t c = 0; c < std::size(coreCounts); ++c) {
+        for (std::size_t w = 0; w < std::size(focus); ++w)
+            std::printf("%8u %-12s %10.3f %10.3f\n", coreCounts[c],
+                        focus[w], results[c][w].speedup(0),
+                        results[c][w].speedup(1));
+        std::printf("%8u %-12s %10.3f %10.3f\n", coreCounts[c],
+                    "average", bench::speedupSummary(results[c], 0).mean,
+                    bench::speedupSummary(results[c], 1).mean);
     }
     return 0;
 }

@@ -62,34 +62,28 @@ main(int argc, char **argv)
     std::printf("Fig 18: %zu multiprogrammed combinations, 32 cores\n",
                 combos.size());
 
-    // Per combo: the private baseline then the three shared
-    // organizations, every simulation independent of the rest.
-    const core::OrgKind kinds[] = {
-        core::OrgKind::Private, core::OrgKind::MonolithicMesh,
-        core::OrgKind::Distributed, core::OrgKind::Nocstar};
+    // Per combo: the three shared organizations against private.
     const char *names[] = {"monolithic", "distributed", "nocstar"};
-    constexpr std::size_t numKinds = 4;
-
-    std::vector<bench::SimJob> jobs;
+    std::vector<bench::VsPrivateRow> rows;
     for (const auto &combo : combos)
-        for (core::OrgKind kind : kinds)
-            jobs.push_back({bench::makeMixConfig(combo, kind, 32),
-                            args.accesses});
+        rows.push_back(bench::orgsRow(
+            bench::makeMixConfig(combo, core::OrgKind::Private, 32),
+            args.accesses,
+            {core::OrgKind::MonolithicMesh, core::OrgKind::Distributed,
+             core::OrgKind::Nocstar}));
 
-    bench::SweepHarness harness("fig18_multiprogrammed", args.run, args.jobs);
-    auto results = harness.runMany(jobs);
+    bench::SweepHarness harness("fig18_multiprogrammed", args.run,
+                                args.jobs);
+    const auto results = harness.runVsPrivate(rows);
 
     std::vector<std::vector<double>> throughput(3), min_app(3);
-    for (std::size_t c = 0; c < combos.size(); ++c) {
-        const auto &priv = results[c * numKinds];
+    for (const bench::VsPrivateResult &r : results) {
         for (std::size_t k = 0; k < 3; ++k) {
-            const auto &result = results[c * numKinds + 1 + k];
-            throughput[k].push_back(
-                bench::speedupVsPrivate(priv, result));
+            throughput[k].push_back(r.speedup(k));
             double min_ratio = 1e9;
             for (std::size_t a = 0; a < 4; ++a) {
-                double ratio = result.appIpc[a] > 0
-                    ? result.appIpc[a] / priv.appIpc[a]
+                double ratio = r.variants[k].appIpc[a] > 0
+                    ? r.variants[k].appIpc[a] / r.baseline.appIpc[a]
                     : 0.0;
                 min_ratio = std::min(min_ratio, ratio);
             }

@@ -53,7 +53,7 @@ parseTilesList(const std::string &value, std::vector<unsigned> &out)
         std::string item = value.substr(
             pos, comma == std::string::npos ? comma : comma - pos);
         std::uint64_t n = 0;
-        if (!bench::parseUnsigned(item, n) || n < 4)
+        if (!sim::parseUnsigned(item, n) || n < 4)
             return false;
         out.push_back(static_cast<unsigned>(n));
         if (comma == std::string::npos)
@@ -106,13 +106,14 @@ main(int argc, char **argv)
         std::fprintf(stderr, "[scaling_fabric] %u tiles, %llu accesses "
                      "per thread...\n", tiles,
                      static_cast<unsigned long long>(accesses));
-        cpu::SystemConfig priv =
-            bench::makeConfig(core::OrgKind::Private, tiles, spec);
-        cpu::RunResult base = harness.runMany({{priv, accesses}}).front();
-        cpu::RunResult r =
-            harness.runMany({{nocstarConfig(tiles), accesses}}).front();
-        rows.push_back({tiles, bench::speedupVsPrivate(base, r),
-                        r.fabricRetryRate, r.fabricGrantWaitP99Max,
+        const bench::VsPrivateResult result =
+            harness.runVsPrivate(bench::VsPrivateRow{
+                {bench::makeConfig(core::OrgKind::Private, tiles, spec),
+                 accesses},
+                {{nocstarConfig(tiles), accesses}}});
+        const cpu::RunResult &r = result.variants[0];
+        rows.push_back({tiles, result.speedup(0), r.fabricRetryRate,
+                        r.fabricGrantWaitP99Max,
                         r.fabricGrantWaitP99Mean});
         rssByTiles.push_back({tiles, peakRssKb()});
     }

@@ -8,7 +8,6 @@
  * feature set.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <functional>
 
@@ -69,51 +68,33 @@ main(int argc, char **argv)
         ++idx;
     }
 
-    // Per row and workload: the private baseline then the three
-    // shared organizations, all with the row's tweak applied.
-    const core::OrgKind kinds[] = {
-        core::OrgKind::Private, core::OrgKind::MonolithicMesh,
-        core::OrgKind::Distributed, core::OrgKind::Nocstar};
+    // Per table row, one row per workload: the three shared
+    // organizations against private, all with the table row's tweak.
     const char *names[] = {"monolithic", "distributed", "nocstar"};
-    constexpr std::size_t numKinds = 4;
-
-    const auto &specs = workload::paperWorkloads();
-    std::vector<bench::SimJob> jobs;
+    std::vector<std::vector<bench::VsPrivateRow>> sweep;
     for (const Row &row : rows) {
-        for (const auto &spec : specs) {
-            for (core::OrgKind kind : kinds) {
-                auto config = bench::makeConfig(kind, 32, spec);
-                if (row.tweak)
-                    row.tweak(config);
-                jobs.push_back({std::move(config), args.accesses});
-            }
+        auto &byWorkload = sweep.emplace_back();
+        for (const auto &spec : workload::paperWorkloads()) {
+            auto config = bench::makeConfig(core::OrgKind::Private, 32,
+                                            spec);
+            if (row.tweak)
+                row.tweak(config);
+            byWorkload.push_back(bench::orgsRow(
+                std::move(config), args.accesses,
+                {core::OrgKind::MonolithicMesh,
+                 core::OrgKind::Distributed, core::OrgKind::Nocstar}));
         }
     }
 
     bench::SweepHarness harness("tab3_sensitivity", args.run, args.jobs);
-    auto results = harness.runMany(jobs);
+    const auto results = harness.runVsPrivate(sweep);
 
-    const std::size_t rowStride = specs.size() * numKinds;
     for (std::size_t r = 0; r < rows.size(); ++r) {
-        double min_s[3] = {1e9, 1e9, 1e9};
-        double avg_s[3] = {0, 0, 0};
-        double max_s[3] = {0, 0, 0};
-        for (std::size_t w = 0; w < specs.size(); ++w) {
-            const auto &priv =
-                results[r * rowStride + w * numKinds];
-            for (std::size_t k = 0; k < 3; ++k) {
-                double s = bench::speedupVsPrivate(
-                    priv,
-                    results[r * rowStride + w * numKinds + 1 + k]);
-                min_s[k] = std::min(min_s[k], s);
-                max_s[k] = std::max(max_s[k], s);
-                avg_s[k] += s / 11.0;
-            }
-        }
-        for (std::size_t k = 0; k < 3; ++k) {
+        for (std::size_t k = 0; k < std::size(names); ++k) {
+            bench::ColumnSummary s = bench::speedupSummary(results[r], k);
             std::printf("%-6s %-4s %-10s %-12s %7.2f %7.2f %7.2f\n",
                         rows[r].pref, rows[r].smt, rows[r].ptw,
-                        names[k], min_s[k], avg_s[k], max_s[k]);
+                        names[k], s.min, s.mean, s.max);
         }
     }
     return 0;

@@ -89,7 +89,7 @@ main(int argc, char **argv)
     parser.option(
         "accesses",
         [&accesses](const std::string &value) {
-            return bench::parseUnsigned(value, accesses) && accesses > 0;
+            return sim::parseUnsigned(value, accesses) && accesses > 0;
         },
         "accesses per thread, >= 1 (default 20000)", "N");
     parser.option("threads", &threads, "app threads (default = cores)");
@@ -133,7 +133,7 @@ main(int argc, char **argv)
         "hotspot",
         [&config](const std::string &value) {
             std::uint64_t slice;
-            if (!bench::parseUnsigned(value, slice) || slice > INT_MAX)
+            if (!sim::parseUnsigned(value, slice) || slice > INT_MAX)
                 return false;
             config.hotspotSlice = static_cast<int>(slice);
             return true;

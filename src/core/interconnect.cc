@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <optional>
 
 #include "noc/queued_mesh.hh"
 #include "sim/trace_recorder.hh"
@@ -80,8 +81,8 @@ Interconnect::Interconnect(const std::string &name, EventQueue &queue,
 
     if (!config_.faults.empty()) {
         const sim::FaultPlan &plan = config_.faults;
-        if (std::vector<std::string> errors =
-                plan.validate(topo_.linkIndexSpace());
+        if (std::vector<std::string> errors = plan.validate(
+                [this](std::uint32_t link) { return topo_.hasLink(link); });
             !errors.empty())
             fatal("invalid fault plan for fabric '", name, "': ",
                   errors.front());
@@ -510,28 +511,18 @@ Interconnect::rebuildPaths()
         parent[src] = static_cast<std::int32_t>(src);
         order.clear();
         order.push_back(src);
-        static constexpr struct { int dx, dy; } step[4] = {
-            {1, 0}, {-1, 0}, {0, -1}, {0, 1}}; // E, W, N, S
         for (std::size_t head = 0; head < order.size(); ++head) {
             CoreId at = order[head];
-            noc::Coord c = topo_.coordOf(at);
-            for (unsigned d = 0; d < 4; ++d) {
-                int nx = static_cast<int>(c.x) + step[d].dx;
-                int ny = static_cast<int>(c.y) + step[d].dy;
-                if (nx < 0 || ny < 0 ||
-                    nx >= static_cast<int>(topo_.width()) ||
-                    ny >= static_cast<int>(topo_.height()))
+            for (noc::Direction dir :
+                 {noc::Direction::East, noc::Direction::West,
+                  noc::Direction::North, noc::Direction::South}) {
+                std::optional<CoreId> to = topo_.neighbour(at, dir);
+                std::uint32_t link = noc::LinkId{at, dir}.flatten();
+                if (!to || linkDeadPermanent_[link] || parent[*to] >= 0)
                     continue;
-                std::uint32_t link = at * 4 + d;
-                if (linkDeadPermanent_[link])
-                    continue;
-                auto to = topo_.tileAt({static_cast<unsigned>(nx),
-                                        static_cast<unsigned>(ny)});
-                if (parent[to] >= 0)
-                    continue;
-                parent[to] = static_cast<std::int32_t>(at);
-                viaLink[to] = link;
-                order.push_back(to);
+                parent[*to] = static_cast<std::int32_t>(at);
+                viaLink[*to] = link;
+                order.push_back(*to);
             }
         }
     };

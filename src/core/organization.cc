@@ -84,7 +84,9 @@ OrgConfig::validate() const
                 strCat("numCores (", numCores, ") does not tile a "
                        "full mesh (nearest grid is ", topo.width(),
                        "x", topo.height(), ")"));
-        for (std::string &e : faults.validate(topo.linkIndexSpace()))
+        for (std::string &e : faults.validate([&topo](std::uint32_t link) {
+                 return topo.hasLink(link);
+             }))
             errors.push_back("faults: " + e);
     } else {
         for (std::string &e : faults.validate())

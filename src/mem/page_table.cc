@@ -129,15 +129,6 @@ PageTable::walkAddresses(ContextId ctx, Addr vaddr) const
     return lines;
 }
 
-Translation
-PageTable::remap(ContextId ctx, Addr vaddr)
-{
-    Region &region = regionPool_[regionIndexFor(ctx, vaddr)];
-    region.frame = nextFrame_++;
-    ++region.version;
-    return translate(ctx, vaddr);
-}
-
 unsigned
 PageTable::setRegionSuperpage(ContextId ctx, Addr vaddr, bool promote)
 {

@@ -33,7 +33,8 @@ struct Translation
 {
     PageNum ppn = 0; ///< physical page number in units of `size` pages
     PageSize size = PageSize::FourKB;
-    /** Monotonic version; bumped on remap so stale TLB entries differ. */
+    /** Monotonic version; bumped on promotion or demotion so stale TLB
+     * entries differ. */
     std::uint32_t version = 0;
 };
 
@@ -86,14 +87,6 @@ class PageTable
     WalkLines walkAddresses(ContextId ctx, Addr vaddr) const;
 
     /**
-     * Remap the page containing @p vaddr to fresh physical backing,
-     * emulating an OS page migration / permission change; the caller is
-     * responsible for shooting down stale TLB entries.
-     * @return the new translation.
-     */
-    Translation remap(ContextId ctx, Addr vaddr);
-
-    /**
      * Promote the region containing @p vaddr to a 2 MB superpage (or
      * demote back to 4 KB pages if @p promote is false), as the paper's
      * TLB-storm microbenchmark does in a loop.
@@ -114,8 +107,6 @@ class PageTable
     {
         contextFraction_[ctx] = fraction;
     }
-
-    double superpageFraction() const { return superpageFraction_; }
 
     /** Number of distinct 2 MB regions allocated so far. */
     std::uint64_t regionsAllocated() const { return regionPool_.size(); }
@@ -148,7 +139,7 @@ class PageTable
     /**
      * Direct-mapped region memo. regionIndex_ slots move on rehash but
      * pool indices are stable forever, so the memo caches the pool
-     * index; the stored version detects remap/promotion in between. A
+     * index; the stored version detects a promotion in between. A
      * Zipf stream touches a few hundred hot regions, so a small table
      * keyed by the hashed region key captures nearly all translates
      * without the full map probe.

@@ -13,6 +13,7 @@
 #define NOCSTAR_NOC_TOPOLOGY_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -122,6 +123,50 @@ class GridTopology
     tileAt(Coord c) const
     {
         return c.y * width_ + c.x;
+    }
+
+    /**
+     * The tile one hop from @p tile in direction @p dir, or nothing when
+     * @p tile is off the grid or the link would leave the mesh: the one
+     * definition of which directed links exist.
+     */
+    std::optional<CoreId>
+    neighbour(CoreId tile, Direction dir) const
+    {
+        if (tile >= numTiles())
+            return std::nullopt;
+        Coord c = coordOf(tile);
+        switch (dir) {
+          case Direction::East:
+            if (c.x + 1 == width_)
+                return std::nullopt;
+            ++c.x;
+            break;
+          case Direction::West:
+            if (c.x == 0)
+                return std::nullopt;
+            --c.x;
+            break;
+          case Direction::North:
+            if (c.y == 0)
+                return std::nullopt;
+            --c.y;
+            break;
+          case Direction::South:
+            if (c.y + 1 == height_)
+                return std::nullopt;
+            ++c.y;
+            break;
+        }
+        return tileAt(c);
+    }
+
+    /** Whether flattened id @p link (tile * 4 + dir) is a mesh link. */
+    bool
+    hasLink(std::uint32_t link) const
+    {
+        return neighbour(link / 4, static_cast<Direction>(link % 4))
+            .has_value();
     }
 
     /** Manhattan hop distance. */

@@ -5,12 +5,11 @@
 
 #include "sim/fault.hh"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace nocstar::sim
 {
@@ -18,29 +17,15 @@ namespace nocstar::sim
 namespace
 {
 
-bool
-parseU64(const std::string &tok, std::uint64_t &out)
-{
-    if (tok.empty() || tok[0] == '-')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
+/** Tiles a `link` directive can name: tile * 4 + 3 must fit the
+ * 32-bit link id. */
+constexpr std::uint64_t maxLinkTiles = std::uint64_t{1} << 30;
 
 bool
 parseProb(const std::string &tok, double &out)
 {
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(tok.c_str(), &end);
-    if (end == tok.c_str() || *end != '\0' || errno == ERANGE)
-        return false;
-    if (v < 0.0 || v > 1.0)
+    double v = 0;
+    if (!parseDouble(tok, v) || v < 0.0 || v > 1.0)
         return false;
     out = v;
     return true;
@@ -65,7 +50,7 @@ parseDuration(const std::string &tok, Cycle &out)
         return true;
     }
     std::uint64_t v = 0;
-    if (!parseU64(tok, v) || v == 0)
+    if (!parseUnsigned(tok, v) || v == 0)
         return false;
     out = v;
     return true;
@@ -74,7 +59,8 @@ parseDuration(const std::string &tok, Cycle &out)
 } // namespace
 
 std::vector<std::string>
-FaultPlan::validate(unsigned link_index_space) const
+FaultPlan::validate(
+    const std::function<bool(std::uint32_t)> &link_exists) const
 {
     std::vector<std::string> errors;
     auto prob = [&errors](double p, const char *what) {
@@ -88,10 +74,11 @@ FaultPlan::validate(unsigned link_index_space) const
 
     for (std::size_t i = 0; i < linkFaults.size(); ++i) {
         const LinkFaultSpec &f = linkFaults[i];
-        if (link_index_space && f.link >= link_index_space)
-            errors.push_back(strCat("link fault #", i, ": link id ",
-                                    f.link, " beyond the mesh (",
-                                    link_index_space, " links)"));
+        if (link_exists && !link_exists(f.link))
+            errors.push_back(strCat("link fault #", i, ": tile ",
+                                    f.link / 4, " has no ",
+                                    "EWNS"[f.link % 4],
+                                    " link on this mesh"));
     }
     return errors;
 }
@@ -124,7 +111,7 @@ FaultPlan::parse(std::istream &in, const std::string &origin)
 
         std::uint64_t v = 0;
         if (word == "seed") {
-            if (args.size() != 1 || !parseU64(args[0], v))
+            if (args.size() != 1 || !parseUnsigned(args[0], v))
                 bad("seed needs one non-negative integer");
             else
                 plan.seed = v;
@@ -132,11 +119,14 @@ FaultPlan::parse(std::istream &in, const std::string &origin)
             LinkFaultSpec f;
             int dir = args.size() >= 2 ? directionIndex(args[1]) : -1;
             std::uint64_t tile = 0;
-            if (args.size() != 4 || !parseU64(args[0], tile) ||
-                dir < 0 || !parseU64(args[2], f.start) ||
+            if (args.size() != 4 || !parseUnsigned(args[0], tile) ||
+                dir < 0 || !parseUnsigned(args[2], f.start) ||
                 !parseDuration(args[3], f.duration)) {
                 bad("link needs: TILE E|W|N|S START "
                     "DURATION|permanent");
+            } else if (tile >= maxLinkTiles) {
+                bad(strCat("link tile ", tile, " beyond the 32-bit link "
+                           "id space (tiles < ", maxLinkTiles, ")"));
             } else {
                 f.link = static_cast<std::uint32_t>(tile * 4 +
                                                     dir);

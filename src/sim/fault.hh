@@ -21,6 +21,7 @@
 #ifndef NOCSTAR_SIM_FAULT_HH
 #define NOCSTAR_SIM_FAULT_HH
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -90,12 +91,14 @@ struct FaultPlan
     }
 
     /**
-     * Field-level sanity errors ("probability out of range", "link id
-     * beyond the mesh", ...). @p link_index_space bounds link ids; pass
-     * 0 to skip the topology-dependent checks.
+     * Field-level sanity errors ("probability out of range", "link not
+     * on the mesh", ...). @p link_exists says whether a flattened link
+     * id names a link of the mesh (noc::GridTopology::hasLink); leave
+     * it empty to skip the topology-dependent checks.
      */
     std::vector<std::string>
-    validate(unsigned link_index_space = 0) const;
+    validate(const std::function<bool(std::uint32_t)> &link_exists = {})
+        const;
 
     /**
      * Parse the plan text format. One directive per line; '#' starts a

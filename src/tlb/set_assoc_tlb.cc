@@ -135,8 +135,7 @@ SetAssocTlb::victimWay(std::uint32_t set) const
 }
 
 const TlbEntry *
-SetAssocTlb::lookup(ContextId ctx, PageNum vpn, PageSize size,
-                    bool update_lru)
+SetAssocTlb::lookup(ContextId ctx, PageNum vpn, PageSize size)
 {
     int index = findIndex(ctx, vpn, size);
     if (index < 0) {
@@ -149,13 +148,12 @@ SetAssocTlb::lookup(ContextId ctx, PageNum vpn, PageSize size,
         ++prefetchHits;
         entry.prefetched = false;
     }
-    if (update_lru)
-        lastUse_[static_cast<std::size_t>(index)] = ++lruClock_;
+    lastUse_[static_cast<std::size_t>(index)] = ++lruClock_;
     return &entry;
 }
 
 const TlbEntry *
-SetAssocTlb::lookupAnySize(ContextId ctx, Addr vaddr, bool update_lru)
+SetAssocTlb::lookupAnySize(ContextId ctx, Addr vaddr)
 {
     // One pipelined array read probes all granularities; only count one
     // access. Probe in increasing page-size order.
@@ -170,8 +168,7 @@ SetAssocTlb::lookupAnySize(ContextId ctx, Addr vaddr, bool update_lru)
                 ++prefetchHits;
                 entry.prefetched = false;
             }
-            if (update_lru)
-                lastUse_[static_cast<std::size_t>(index)] = ++lruClock_;
+            lastUse_[static_cast<std::size_t>(index)] = ++lruClock_;
             return &entry;
         }
     }
@@ -326,27 +323,6 @@ SetAssocTlb::invalidate(ContextId ctx, PageNum vpn, PageSize size)
     --validCount_;
     ++invalidations;
     return true;
-}
-
-std::uint64_t
-SetAssocTlb::invalidateContext(ContextId ctx)
-{
-    if (validCount_ == 0 || ctx > maxCtx)
-        return 0; // empty array / a context no tag can encode
-    std::uint64_t count = 0;
-    std::uint64_t ctx_bits = static_cast<std::uint64_t>(ctx) << 2;
-    for (std::size_t i = 0; i < numEntries_; ++i) {
-        if (keys_[i] != invalidKey &&
-            (keys_[i] & (std::uint64_t{maxCtx} << 2)) == ctx_bits) {
-            keys_[i] = invalidKey;
-            lastUse_[i] = 0;
-            payload_[i].valid = false;
-            ++count;
-        }
-    }
-    validCount_ -= count;
-    invalidations += static_cast<double>(count);
-    return count;
 }
 
 std::uint64_t

@@ -49,20 +49,17 @@ class SetAssocTlb : public stats::StatGroup
                 std::uint32_t assoc, stats::StatGroup *parent = nullptr);
 
     /**
-     * Probe for a translation of a specific page size.
-     * @param update_lru refresh recency on hit (demand accesses do;
-     *        snoops / invalidation probes must not).
+     * Demand probe for a translation of a specific page size: counts a
+     * hit or miss and refreshes recency on a hit.
      * @return the matching entry, or nullptr.
      */
-    const TlbEntry *lookup(ContextId ctx, PageNum vpn, PageSize size,
-                           bool update_lru = true);
+    const TlbEntry *lookup(ContextId ctx, PageNum vpn, PageSize size);
 
     /**
      * Probe for @p vaddr trying 4 KB then 2 MB then 1 GB granularity.
      * Counts a single access (one pipelined SRAM read).
      */
-    const TlbEntry *lookupAnySize(ContextId ctx, Addr vaddr,
-                                  bool update_lru = true);
+    const TlbEntry *lookupAnySize(ContextId ctx, Addr vaddr);
 
     /**
      * Insert a translation, evicting the set's LRU entry if needed.
@@ -104,9 +101,6 @@ class SetAssocTlb : public stats::StatGroup
     /** Invalidate one translation. @return true if it was present. */
     bool invalidate(ContextId ctx, PageNum vpn, PageSize size);
 
-    /** Invalidate everything belonging to @p ctx. @return count. */
-    std::uint64_t invalidateContext(ContextId ctx);
-
     /** Invalidate the whole array (context switch without PCID). */
     std::uint64_t invalidateAll();
 
@@ -131,13 +125,6 @@ class SetAssocTlb : public stats::StatGroup
 
     /** Demand hit on an entry brought in by the prefetcher. */
     stats::Scalar prefetchHits;
-
-    double
-    missRate() const
-    {
-        double acc = hits.value() + misses.value();
-        return acc > 0 ? misses.value() / acc : 0.0;
-    }
 
   private:
     /**

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace nocstar::workload
 {
@@ -28,19 +30,19 @@ TraceFile::load(const std::string &path)
         ++line_no;
         if (line.empty() || line[0] == '#')
             continue;
+        // Exactly `THREAD HEXADDR`: a sign, a non-hex digit or a third
+        // field makes the record malformed.
         std::istringstream fields(line);
-        unsigned thread;
-        std::string vaddr_text;
-        if (!(fields >> thread >> vaddr_text))
-            fatal("malformed trace record at ", path, ":", line_no);
+        std::string thread_text, vaddr_text, extra;
+        std::uint64_t thread = 0;
         Addr vaddr = 0;
-        try {
-            vaddr = std::stoull(vaddr_text, nullptr, 16);
-        } catch (const std::exception &) {
-            fatal("bad address '", vaddr_text, "' at ", path, ":",
-                  line_no);
-        }
-        trace.append(thread, vaddr);
+        if (!(fields >> thread_text >> vaddr_text) || (fields >> extra) ||
+            !sim::parseUnsigned(thread_text, thread) ||
+            thread > std::numeric_limits<unsigned>::max() ||
+            !sim::parseUnsigned(vaddr_text, vaddr, 16))
+            fatal("malformed trace record '", line, "' at ", path, ":",
+                  line_no, " (expected THREAD HEXADDR)");
+        trace.append(static_cast<unsigned>(thread), vaddr);
     }
     return trace;
 }

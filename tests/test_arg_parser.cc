@@ -62,25 +62,39 @@ struct RunParser
 TEST(ParseUnsigned, AcceptsNumbersRejectsGarbage)
 {
     std::uint64_t v = 0;
-    EXPECT_TRUE(parseUnsigned("12345", v));
+    EXPECT_TRUE(sim::parseUnsigned("12345", v));
     EXPECT_EQ(v, 12345u);
-    EXPECT_TRUE(parseUnsigned("0", v));
-    EXPECT_FALSE(parseUnsigned("", v));
-    EXPECT_FALSE(parseUnsigned("12abc", v));
-    EXPECT_FALSE(parseUnsigned("abc", v));
-    EXPECT_FALSE(parseUnsigned("-5", v));
-    EXPECT_FALSE(parseUnsigned("99999999999999999999999", v));
+    EXPECT_TRUE(sim::parseUnsigned("0", v));
+    EXPECT_FALSE(sim::parseUnsigned("", v));
+    EXPECT_FALSE(sim::parseUnsigned("12abc", v));
+    EXPECT_FALSE(sim::parseUnsigned("abc", v));
+    EXPECT_FALSE(sim::parseUnsigned("-5", v));
+    EXPECT_FALSE(sim::parseUnsigned("+5", v));
+    EXPECT_FALSE(sim::parseUnsigned(" 5", v));
+    EXPECT_FALSE(sim::parseUnsigned("99999999999999999999999", v));
+}
+
+TEST(ParseUnsigned, HexForAddresses)
+{
+    std::uint64_t v = 0;
+    EXPECT_TRUE(sim::parseUnsigned("12abc", v, 16));
+    EXPECT_EQ(v, 0x12abcu);
+    EXPECT_TRUE(sim::parseUnsigned("ffffffffffffffff", v, 16));
+    EXPECT_EQ(v, ~std::uint64_t{0});
+    EXPECT_FALSE(sim::parseUnsigned("12zz", v, 16));
+    EXPECT_FALSE(sim::parseUnsigned("-1", v, 16));
+    EXPECT_FALSE(sim::parseUnsigned("10000000000000000", v, 16));
 }
 
 TEST(ParseDouble, AcceptsNumbersRejectsGarbage)
 {
     double v = 0;
-    EXPECT_TRUE(parseDouble("0.25", v));
+    EXPECT_TRUE(sim::parseDouble("0.25", v));
     EXPECT_DOUBLE_EQ(v, 0.25);
-    EXPECT_TRUE(parseDouble("-1.5", v));
-    EXPECT_FALSE(parseDouble("", v));
-    EXPECT_FALSE(parseDouble("1.5x", v));
-    EXPECT_FALSE(parseDouble("x", v));
+    EXPECT_TRUE(sim::parseDouble("-1.5", v));
+    EXPECT_FALSE(sim::parseDouble("", v));
+    EXPECT_FALSE(sim::parseDouble("1.5x", v));
+    EXPECT_FALSE(sim::parseDouble("x", v));
 }
 
 TEST(ArgParser, BothOptionSpellingsWork)

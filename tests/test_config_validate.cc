@@ -13,6 +13,7 @@
 
 #include "core/organization.hh"
 #include "cpu/system.hh"
+#include "noc/topology.hh"
 
 using namespace nocstar;
 using namespace nocstar::core;
@@ -170,6 +171,30 @@ TEST(OrgValidate, ChecksFaultPlanAgainstTopology)
     config.faults.linkFaults.clear();
     config.faults.grantLossProb = 1.5;
     EXPECT_TRUE(mentions(config.validate(), "faults:"));
+}
+
+TEST(OrgValidate, RefusesFaultOnLinkOffTheMesh)
+{
+    OrgConfig config;
+    config.kind = OrgKind::Nocstar;
+    auto link = [](CoreId tile, noc::Direction dir) {
+        return sim::LinkFaultSpec{noc::LinkId{tile, dir}.flatten(), 0, 0};
+    };
+    // 4x4: tile 3 is on the east edge.
+    config.numCores = 16;
+    config.faults.linkFaults = {link(3, noc::Direction::East)};
+    EXPECT_TRUE(mentions(config.validate(), "tile 3 has no E link"));
+    // 8x4: tile 7 is on the east edge, tile 31 in the south-east corner.
+    config.numCores = 32;
+    config.faults.linkFaults = {link(7, noc::Direction::East)};
+    EXPECT_TRUE(mentions(config.validate(), "tile 7 has no E link"));
+    config.faults.linkFaults = {link(31, noc::Direction::South)};
+    EXPECT_TRUE(mentions(config.validate(), "tile 31 has no S link"));
+    config.faults.linkFaults = {link(8, noc::Direction::North)};
+    EXPECT_TRUE(config.validate().empty());
+    // An interior link is still accepted.
+    config.faults.linkFaults = {link(6, noc::Direction::East)};
+    EXPECT_TRUE(config.validate().empty());
 }
 
 TEST(OrgValidate, FactoryRejectsInvalidConfig)

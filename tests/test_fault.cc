@@ -116,10 +116,33 @@ TEST(FaultPlan, RemovedDirectivesAreRefused)
 
 TEST(FaultPlan, ValidateCatchesOutOfRangeLink)
 {
+    const noc::GridTopology topo(4, 4);
+    auto exists = [&topo](std::uint32_t link) {
+        return topo.hasLink(link);
+    };
     sim::FaultPlan plan;
     plan.linkFaults.push_back({9999, 0, 0});
-    EXPECT_TRUE(plan.validate().empty()); // space unknown: no check
-    EXPECT_FALSE(plan.validate(64).empty());
+    EXPECT_TRUE(plan.validate().empty()); // mesh unknown: no check
+    EXPECT_FALSE(plan.validate(exists).empty());
+    // Tile 3 sits on the east edge of the 4x4 mesh; tile 2 does not.
+    plan.linkFaults = {{noc::LinkId{3, noc::Direction::East}.flatten(), 0, 0}};
+    EXPECT_FALSE(plan.validate(exists).empty());
+    plan.linkFaults = {{noc::LinkId{2, noc::Direction::East}.flatten(), 0, 0}};
+    EXPECT_TRUE(plan.validate(exists).empty());
+}
+
+TEST(FaultPlan, TileBeyondLinkIdSpaceIsRefused)
+{
+    // 2^30 * 4 wraps the 32-bit link id onto link 0 (tile 0 East).
+    EXPECT_THROW(planFromString("link 1073741824 E 0 permanent\n"),
+                 FatalError);
+    EXPECT_THROW(planFromString("link 18446744073709551615 S 0 5\n"),
+                 FatalError);
+    // The largest tile whose four links all fit still parses.
+    sim::FaultPlan plan =
+        planFromString("link 1073741823 S 0 permanent\n");
+    ASSERT_EQ(plan.linkFaults.size(), 1u);
+    EXPECT_EQ(plan.linkFaults[0].link, 0xffffffffu);
 }
 
 TEST(FaultPlan, EmptyPlanIsEmpty)
@@ -174,6 +197,18 @@ TEST(FaultFabric, RejectsPlanWithOutOfRangeLink)
     plan.linkFaults.push_back({9999, 0, 0});
     OrgConfig cfg;
     cfg.faults = plan;
+    EXPECT_THROW(FabricHarness(16, cfg), FatalError);
+}
+
+TEST(FaultFabric, RejectsPlanWithEdgeLink)
+{
+    // Tile 3 is the 4x4 mesh's north-east corner: no East link.
+    OrgConfig cfg;
+    cfg.faults.linkFaults.push_back(
+        {noc::LinkId{3, noc::Direction::East}.flatten(), 0, 0});
+    EXPECT_THROW(FabricHarness(16, cfg), FatalError);
+    cfg.faults.linkFaults = {
+        {noc::LinkId{12, noc::Direction::South}.flatten(), 0, 0}};
     EXPECT_THROW(FabricHarness(16, cfg), FatalError);
 }
 

@@ -69,8 +69,7 @@ class ReferenceTlb
     }
 
     const TlbEntry *
-    lookup(ContextId ctx, PageNum vpn, PageSize size,
-           bool update_lru = true)
+    lookup(ContextId ctx, PageNum vpn, PageSize size)
     {
         TlbEntry *entry = findEntry(ctx, vpn, size);
         if (!entry) {
@@ -82,13 +81,12 @@ class ReferenceTlb
             ++prefetchHits;
             entry->prefetched = false;
         }
-        if (update_lru)
-            entry->lastUse = ++lruClock_;
+        entry->lastUse = ++lruClock_;
         return entry;
     }
 
     const TlbEntry *
-    lookupAnySize(ContextId ctx, Addr vaddr, bool update_lru = true)
+    lookupAnySize(ContextId ctx, Addr vaddr)
     {
         static constexpr PageSize sizes[] = {
             PageSize::FourKB, PageSize::TwoMB, PageSize::OneGB};
@@ -101,8 +99,7 @@ class ReferenceTlb
                     ++prefetchHits;
                     entry->prefetched = false;
                 }
-                if (update_lru)
-                    entry->lastUse = ++lruClock_;
+                entry->lastUse = ++lruClock_;
                 return entry;
             }
         }
@@ -169,20 +166,6 @@ class ReferenceTlb
             return true;
         }
         return false;
-    }
-
-    std::uint64_t
-    invalidateContext(ContextId ctx)
-    {
-        std::uint64_t count = 0;
-        for (TlbEntry &entry : entries_) {
-            if (entry.valid && entry.ctx == ctx) {
-                entry.valid = false;
-                ++count;
-            }
-        }
-        invalidations += count;
-        return count;
     }
 
     std::uint64_t
@@ -268,10 +251,8 @@ TEST_P(TlbDifferentialTest, RandomizedOpsMatchReference)
         std::uint64_t kind = rng.below(100);
 
         if (kind < 40) {
-            bool update_lru = rng.below(4) != 0;
-            expectSameEntry(ref.lookup(ctx, vpn, size, update_lru),
-                            soa.lookup(ctx, vpn, size, update_lru),
-                            op);
+            expectSameEntry(ref.lookup(ctx, vpn, size),
+                            soa.lookup(ctx, vpn, size), op);
         } else if (kind < 70) {
             TlbEntry entry;
             entry.valid = true;
@@ -292,12 +273,9 @@ TEST_P(TlbDifferentialTest, RandomizedOpsMatchReference)
         } else if (kind < 88) {
             EXPECT_EQ(ref.present(ctx, vpn, size),
                       soa.present(ctx, vpn, size)) << "op " << op;
-        } else if (kind < 96) {
+        } else if (kind < 99) {
             EXPECT_EQ(ref.invalidate(ctx, vpn, size),
                       soa.invalidate(ctx, vpn, size)) << "op " << op;
-        } else if (kind < 99) {
-            EXPECT_EQ(ref.invalidateContext(ctx),
-                      soa.invalidateContext(ctx)) << "op " << op;
         } else {
             EXPECT_EQ(ref.invalidateAll(), soa.invalidateAll())
                 << "op " << op;
@@ -346,7 +324,6 @@ TEST(SetAssocTlbSoa, PackedTagRangeLimitsAreEnforced)
                              PageSize::FourKB));
     EXPECT_FALSE(tlb.invalidate(0, SetAssocTlb::maxVpn + 1,
                                 PageSize::FourKB));
-    EXPECT_EQ(tlb.invalidateContext(SetAssocTlb::maxCtx + 1), 0u);
 
     // The widest encodable tag round-trips.
     TlbEntry entry;
@@ -374,7 +351,6 @@ TEST(SetAssocTlbSoa, OccupancyIsLiveAndEmptyFlushesShortCircuit)
     EXPECT_EQ(tlb.occupancy(), 0u);
     // Flushing an empty array must not count invalidations.
     EXPECT_EQ(tlb.invalidateAll(), 0u);
-    EXPECT_EQ(tlb.invalidateContext(3), 0u);
     EXPECT_EQ(tlb.invalidations.value(), 0.0);
 
     TlbEntry entry;
@@ -387,9 +363,9 @@ TEST(SetAssocTlbSoa, OccupancyIsLiveAndEmptyFlushesShortCircuit)
         tlb.insert(entry);
     }
     EXPECT_EQ(tlb.occupancy(), 10u);
-    EXPECT_EQ(tlb.invalidateContext(1), 5u);
-    EXPECT_EQ(tlb.occupancy(), 5u);
-    EXPECT_EQ(tlb.invalidateAll(), 5u);
+    EXPECT_TRUE(tlb.invalidate(1, 0x901, PageSize::FourKB));
+    EXPECT_EQ(tlb.occupancy(), 9u);
+    EXPECT_EQ(tlb.invalidateAll(), 9u);
     EXPECT_EQ(tlb.occupancy(), 0u);
     EXPECT_EQ(tlb.invalidations.value(), 10.0);
 }

@@ -33,6 +33,28 @@ TEST(Topology, CoordRoundTrips)
     }
 }
 
+TEST(Topology, NeighbourStopsAtTheMeshEdge)
+{
+    GridTopology topo(8, 4);
+    EXPECT_EQ(topo.neighbour(6, Direction::East), 7u);
+    EXPECT_FALSE(topo.neighbour(7, Direction::East));
+    EXPECT_EQ(topo.neighbour(8, Direction::North), 0u);
+    EXPECT_FALSE(topo.neighbour(0, Direction::North));
+    EXPECT_FALSE(topo.neighbour(0, Direction::West));
+    EXPECT_EQ(topo.neighbour(23, Direction::South), 31u);
+    EXPECT_FALSE(topo.neighbour(31, Direction::South));
+    EXPECT_FALSE(topo.neighbour(32, Direction::West)); // off the grid
+
+    // The existing ids are exactly the mesh's links, and every XY path
+    // runs over them.
+    unsigned links = 0;
+    for (std::uint32_t id = 0; id < topo.linkIndexSpace() + 8; ++id)
+        links += topo.hasLink(id) ? 1 : 0;
+    EXPECT_EQ(links, topo.numLinks());
+    for (const LinkId &link : topo.xyPath(0, 31))
+        EXPECT_TRUE(topo.hasLink(link.flatten()));
+}
+
 TEST(Topology, HopsAreManhattan)
 {
     GridTopology topo(4, 4);

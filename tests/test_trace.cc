@@ -57,11 +57,18 @@ TEST(TraceFile, MissingFileIsFatal)
 TEST(TraceFile, MalformedRecordIsFatal)
 {
     std::string path = tempPath("nocstar_trace_bad.txt");
-    {
-        std::ofstream out(path);
-        out << "0 zzz-not-hex\n";
+    // Each record is not exactly `THREAD HEXADDR`: a non-hex address,
+    // a hex prefix with trailing garbage, a third field, a negative
+    // thread, a thread past 32 bits and a lone field.
+    for (const char *record :
+         {"0 zzz-not-hex", "0 12zz", "0 1000 extra", "-1 2000",
+          "4294967296 1000", "0"}) {
+        {
+            std::ofstream out(path);
+            out << "0 1000\n" << record << "\n";
+        }
+        EXPECT_THROW(TraceFile::load(path), FatalError) << record;
     }
-    EXPECT_THROW(TraceFile::load(path), FatalError);
     std::remove(path.c_str());
 }
 
