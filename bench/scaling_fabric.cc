@@ -119,7 +119,7 @@ main(int argc, char **argv)
     }
 
     // Per-component byte accounting at the largest tile count: where
-    // the 1024-tile footprint actually lives (SoA TLB arrays,
+    // the 1024-tile footprint actually lives (TLB set blocks,
     // page-table pool, walk caches, path tables).
     const unsigned auditTiles = tileCounts.back();
     const cpu::System::MemoryAudit audit =
@@ -145,7 +145,7 @@ main(int argc, char **argv)
                 audit.total() / 1024);
 
     // Machine-readable record; CI gates peak_rss_kb at the largest
-    // tile count against the committed baseline.
+    // tile count and the audit's total against the committed baseline.
     if (std::FILE *f = std::fopen("BENCH_scale.json", "w")) {
         std::fprintf(f, "{\"bench\": \"scaling_fabric\", "
                      "\"accesses\": %llu, \"rows\": [",

@@ -85,7 +85,7 @@ DistributedOrg::translate(CoreId core, ContextId ctx, Addr vaddr,
                                   hops, array(slice).numEntries());
 
     bool ecc = false;
-    const tlb::TlbEntry *hit = lookupHome(slice, ctx, vaddr, ecc);
+    std::optional<tlb::TlbEntry> hit = lookupHome(slice, ctx, vaddr, ecc);
 
     Cycle req_arrival = slice == core
         ? t0 : t0 + network_->traverse(core, slice, t0);
@@ -93,7 +93,7 @@ DistributedOrg::translate(CoreId core, ContextId ctx, Addr vaddr,
     Cycle lookup_done = start + sliceLatency_;
 
     noteSliceLookup(slice, core, vaddr, start, lookup_done,
-                    hit != nullptr);
+                    hit.has_value());
 
     if (hit) {
         Cycle completed = slice == core

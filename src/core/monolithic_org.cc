@@ -62,7 +62,7 @@ MonolithicOrg::translate(CoreId core, ContextId ctx, Addr vaddr,
 
     // Functional lookup now; timing assembled below.
     bool ecc = false;
-    const tlb::TlbEntry *hit = lookupHome(bank, ctx, vaddr, ecc);
+    std::optional<tlb::TlbEntry> hit = lookupHome(bank, ctx, vaddr, ecc);
 
     Cycle lookup_start;
     Cycle lookup_done;
@@ -87,7 +87,7 @@ MonolithicOrg::translate(CoreId core, ContextId ctx, Addr vaddr,
                                   0);
 
     noteSliceLookup(bank, core, vaddr, lookup_start, lookup_done,
-                    hit != nullptr);
+                    hit.has_value());
 
     if (hit) {
         TranslationResult result;

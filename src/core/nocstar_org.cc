@@ -156,9 +156,10 @@ NocstarOrg::translate(CoreId core, ContextId ctx, Addr vaddr, Cycle now,
 
     // Functional lookup now; timing assembled by the continuations.
     bool ecc = false;
-    const tlb::TlbEntry *hit_entry = lookupHome(slice, ctx, vaddr, ecc);
-    bool hit = hit_entry != nullptr;
-    tlb::TlbEntry entry = hit ? *hit_entry : tlb::TlbEntry{};
+    std::optional<tlb::TlbEntry> hit_entry =
+        lookupHome(slice, ctx, vaddr, ecc);
+    bool hit = hit_entry.has_value();
+    tlb::TlbEntry entry = hit_entry.value_or(tlb::TlbEntry{});
 
     if (slice == core) {
         Cycle start = portStart(slice, t0);

@@ -175,7 +175,7 @@ TlbOrganization::totalEntries() const
     return total;
 }
 
-const tlb::TlbEntry *
+std::optional<tlb::TlbEntry>
 TlbOrganization::lookupHome(unsigned home, ContextId ctx, Addr vaddr,
                             bool &ecc)
 {
@@ -188,7 +188,7 @@ TlbOrganization::lookupHome(unsigned home, ContextId ctx, Addr vaddr,
     sliceConcurrency.record(sliceOutstanding_[home]);
 
     tlb::SetAssocTlb &array = *arrays_[home];
-    const tlb::TlbEntry *hit = array.lookupAnySize(ctx, vaddr);
+    std::optional<tlb::TlbEntry> hit = array.lookupAnySize(ctx, vaddr);
     // The fault injector draws only on a hit, and only when the plan
     // has a slice-ecc probability, so fault-free runs stay identical.
     if (hit && eccFaults_ && eccFaults_->sliceEcc()) {
@@ -196,7 +196,7 @@ TlbOrganization::lookupHome(unsigned home, ContextId ctx, Addr vaddr,
         ++sliceEccRewalks;
         ecc = true;
         array.invalidate(hit->ctx, hit->vpn, hit->size);
-        hit = nullptr;
+        hit.reset();
     }
     if (hit)
         ++l2Hits;

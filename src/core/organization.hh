@@ -12,6 +12,7 @@
 #define NOCSTAR_CORE_ORGANIZATION_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -246,10 +247,10 @@ class TlbOrganization : public stats::StatGroup
      * concurrency, and probe the array. A hit that reads back corrupt
      * is dropped from the array and reported as a miss with @p ecc
      * set, so the miss path re-walks it.
-     * @return the hit entry, or nullptr on a miss.
+     * @return the hit entry, or nothing on a miss.
      */
-    const tlb::TlbEntry *lookupHome(unsigned home, ContextId ctx,
-                                    Addr vaddr, bool &ecc);
+    std::optional<tlb::TlbEntry> lookupHome(unsigned home, ContextId ctx,
+                                            Addr vaddr, bool &ecc);
 
     /**
      * Retire an access started on @p home by lookupHome(). complete()

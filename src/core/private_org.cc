@@ -27,11 +27,11 @@ PrivateOrg::translate(CoreId core, ContextId ctx, Addr vaddr, Cycle now,
         ctx_.energy->addPrivateL2Lookup(config_.l2Entries);
 
     bool ecc = false;
-    const tlb::TlbEntry *hit = lookupHome(core, ctx, vaddr, ecc);
+    std::optional<tlb::TlbEntry> hit = lookupHome(core, ctx, vaddr, ecc);
     Cycle lookup_done = start + lookupLatency_;
 
     noteSliceLookup(core, core, vaddr, start, lookup_done,
-                    hit != nullptr);
+                    hit.has_value());
 
     if (hit) {
         TranslationResult result;

@@ -394,8 +394,7 @@ System::step(std::size_t thread_index)
 
     ++l1Accesses_;
     energy_.addL1Lookup();
-    const tlb::TlbEntry *l1_hit =
-        l1s_[thread.core]->lookup(thread.ctx, vpn, t.size);
+    bool l1_hit = l1s_[thread.core]->lookup(thread.ctx, vpn, t.size);
 
     if (!l1_hit) {
         ++l1Misses_;

@@ -327,9 +327,9 @@ class System : public stats::StatGroup
      */
     struct MemoryAudit
     {
-        /** SoA arrays of every L2 slice / bank / private array. */
+        /** Set blocks of every L2 slice / bank / private array. */
         std::size_t orgArrayBytes = 0;
-        /** SoA arrays of all per-core L1 TLB groups. */
+        /** Set blocks of all per-core L1 TLB groups. */
         std::size_t l1Bytes = 0;
         /** Page-table region pool, index map and memo. */
         std::size_t pageTableBytes = 0;

@@ -44,8 +44,11 @@ ckptTag(char a, char b, char c, char d)
            static_cast<std::uint32_t>(static_cast<unsigned char>(d));
 }
 
-/** Current checkpoint format version. Bump on any layout change. */
-constexpr std::uint32_t kCheckpointVersion = 1;
+/**
+ * Current checkpoint format version. Bump on any layout change.
+ * Version 2 stores each TLB array as its set blocks' words.
+ */
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 /** 64-bit FNV-1a, used for the trailing checksum and fingerprints. */
 std::uint64_t fnv1a(const void *data, std::size_t size,

@@ -24,28 +24,20 @@ L1TlbGroup::scaled(std::uint32_t n, double scale, std::uint32_t assoc)
 
 L1TlbGroup::L1TlbGroup(const std::string &name, const L1TlbConfig &config,
                        stats::StatGroup *parent)
-    : stats::StatGroup(name, parent)
+    : stats::StatGroup(name, parent),
+      arrays_{std::make_unique<SetAssocTlb>(
+                  "l1_4k",
+                  scaled(config.entries4k, config.scale, config.assoc4k),
+                  config.assoc4k, this),
+              std::make_unique<SetAssocTlb>(
+                  "l1_2m",
+                  scaled(config.entries2m, config.scale, config.assoc2m),
+                  config.assoc2m, this),
+              std::make_unique<SetAssocTlb>(
+                  "l1_1g",
+                  scaled(config.entries1g, config.scale, config.assoc1g),
+                  config.assoc1g, this)}
 {
-    tlb4k_ = std::make_unique<SetAssocTlb>(
-        "l1_4k", scaled(config.entries4k, config.scale, config.assoc4k),
-        config.assoc4k, this);
-    tlb2m_ = std::make_unique<SetAssocTlb>(
-        "l1_2m", scaled(config.entries2m, config.scale, config.assoc2m),
-        config.assoc2m, this);
-    tlb1g_ = std::make_unique<SetAssocTlb>(
-        "l1_1g", scaled(config.entries1g, config.scale, config.assoc1g),
-        config.assoc1g, this);
-}
-
-SetAssocTlb &
-L1TlbGroup::arrayFor(PageSize size)
-{
-    switch (size) {
-      case PageSize::FourKB: return *tlb4k_;
-      case PageSize::TwoMB: return *tlb2m_;
-      case PageSize::OneGB: return *tlb1g_;
-    }
-    return *tlb4k_;
 }
 
 } // namespace nocstar::tlb

@@ -11,6 +11,7 @@
 #ifndef NOCSTAR_TLB_L1_TLB_HH
 #define NOCSTAR_TLB_L1_TLB_HH
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -45,7 +46,7 @@ class L1TlbGroup : public stats::StatGroup
      * Probe the array for @p size pages only (the page size of a VA is
      * known once translated; on a miss the L2 resolves the real size).
      */
-    const TlbEntry *
+    bool
     lookup(ContextId ctx, PageNum vpn, PageSize size)
     {
         return arrayFor(size).lookup(ctx, vpn, size);
@@ -59,63 +60,52 @@ class L1TlbGroup : public stats::StatGroup
     }
 
     /**
-     * Stat-free probe used by functional fast-forward: refreshes LRU
-     * exactly like lookup() but counts no hits/misses, so warming
-     * leaves the measured stats untouched.
-     */
-    const TlbEntry *
-    touch(ContextId ctx, PageNum vpn, PageSize size)
-    {
-        return arrayFor(size).touch(ctx, vpn, size);
-    }
-
-    /**
-     * Stat-free probe of all three arrays without a prior translation
-     * (fast-forward hot path: most accesses hit the L1, so resolving
+     * Stat-free probe of all three arrays without a prior translation,
+     * used by functional fast-forward: refreshes LRU exactly like
+     * lookup() but counts no hits/misses, so warming leaves the
+     * measured stats untouched. Most accesses hit the L1, so resolving
      * the page size first just to pick the array would make the page
-     * table the bottleneck). Each array only ever holds entries of its
-     * own size, so a hit here mutates exactly what touch() with the
+     * table the bottleneck. Each array only ever holds entries of its
+     * own size, so a hit here mutates exactly what a lookup() with the
      * translated size would.
+     * @return the array that holds the translation, or nullptr.
      */
-    const TlbEntry *
+    const SetAssocTlb *
     touchAnySize(ContextId ctx, Addr vaddr)
     {
-        if (const TlbEntry *entry = tlb4k_->touch(
-                ctx, pageNumber(vaddr, PageSize::FourKB),
-                PageSize::FourKB))
-            return entry;
-        if (const TlbEntry *entry = tlb2m_->touch(
-                ctx, pageNumber(vaddr, PageSize::TwoMB),
-                PageSize::TwoMB))
-            return entry;
-        return tlb1g_->touch(ctx, pageNumber(vaddr, PageSize::OneGB),
-                             PageSize::OneGB);
+        for (PageSize size :
+             {PageSize::FourKB, PageSize::TwoMB, PageSize::OneGB}) {
+            SetAssocTlb &array = arrayFor(size);
+            if (array.touch(ctx, pageNumber(vaddr, size), size))
+                return &array;
+        }
+        return nullptr;
     }
 
     /** Serialize all three arrays (checkpointing). */
     void
     saveState(sim::CkptWriter &w) const
     {
-        tlb4k_->saveState(w);
-        tlb2m_->saveState(w);
-        tlb1g_->saveState(w);
+        for (const auto &array : arrays_)
+            array->saveState(w);
     }
 
     /** Restore state captured by saveState(). */
     void
     restoreState(sim::CkptReader &r)
     {
-        tlb4k_->restoreState(r);
-        tlb2m_->restoreState(r);
-        tlb1g_->restoreState(r);
+        for (auto &array : arrays_)
+            array->restoreState(r);
     }
 
     /** Resident bytes of the three arrays (memory audit). */
     std::size_t
     memoryBytes() const
     {
-        return tlb4k_->memoryBytes() + tlb2m_->memoryBytes() +
-               tlb1g_->memoryBytes();
+        std::size_t bytes = 0;
+        for (const auto &array : arrays_)
+            bytes += array->memoryBytes();
+        return bytes;
     }
 
     /** Invalidate a single translation (shootdown). */
@@ -130,38 +120,23 @@ class L1TlbGroup : public stats::StatGroup
     invalidateAll()
     {
         std::uint64_t n = 0;
-        n += tlb4k_->invalidateAll();
-        n += tlb2m_->invalidateAll();
-        n += tlb1g_->invalidateAll();
+        for (auto &array : arrays_)
+            n += array->invalidateAll();
         return n;
     }
 
-    std::uint64_t
-    demandAccesses() const
+    SetAssocTlb &
+    arrayFor(PageSize size)
     {
-        return static_cast<std::uint64_t>(
-            tlb4k_->hits.value() + tlb4k_->misses.value() +
-            tlb2m_->hits.value() + tlb2m_->misses.value() +
-            tlb1g_->hits.value() + tlb1g_->misses.value());
+        return *arrays_[static_cast<std::size_t>(size)];
     }
-
-    std::uint64_t
-    demandMisses() const
-    {
-        return static_cast<std::uint64_t>(tlb4k_->misses.value() +
-                                          tlb2m_->misses.value() +
-                                          tlb1g_->misses.value());
-    }
-
-    SetAssocTlb &arrayFor(PageSize size);
 
   private:
     static std::uint32_t scaled(std::uint32_t n, double scale,
                                 std::uint32_t assoc);
 
-    std::unique_ptr<SetAssocTlb> tlb4k_;
-    std::unique_ptr<SetAssocTlb> tlb2m_;
-    std::unique_ptr<SetAssocTlb> tlb1g_;
+    /** The 4 KB, 2 MB and 1 GB arrays, indexed by PageSize. */
+    std::array<std::unique_ptr<SetAssocTlb>, numPageSizes> arrays_;
 };
 
 } // namespace nocstar::tlb

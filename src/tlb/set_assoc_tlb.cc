@@ -1,6 +1,7 @@
 /**
  * @file
- * Set-associative TLB implementation (structure-of-arrays probes).
+ * Set-associative TLB implementation (set blocks of tags, stamps and
+ * frames).
  */
 
 #include "tlb/set_assoc_tlb.hh"
@@ -43,11 +44,11 @@ SetAssocTlb::SetAssocTlb(const std::string &name, std::uint32_t entries,
         setMask_ = numSets_ - 1;
     else
         setFastModM_ = ~static_cast<unsigned __int128>(0) / numSets_ + 1;
-    // 3 trailing pad slots keep the vector probe's 4-lane loads inside
-    // the allocation for every way of the last set.
-    keys_.assign(static_cast<std::size_t>(entries) + 3, invalidKey);
-    lastUse_.assign(entries, 0);
-    payload_.resize(entries);
+    const std::size_t words = std::size_t{3} * entries + padWords;
+    words_.reset(static_cast<std::uint64_t *>(::operator new[](
+        words * sizeof(std::uint64_t), std::align_val_t{64})));
+    std::fill_n(words_.get() + words - padWords, padWords, invalidKey);
+    clear();
 }
 
 std::uint32_t
@@ -80,18 +81,17 @@ SetAssocTlb::setIndex(PageNum vpn, PageSize size) const
 }
 
 int
-SetAssocTlb::findWay(std::uint32_t set, std::uint64_t key) const
+SetAssocTlb::findWay(const std::uint64_t *tags, std::uint64_t key) const
 {
     // Compare all ways of the set at once through GNU vector
     // extensions, as GCC and Clang provide; setIndex()'s unsigned
-    // __int128 already needs one of them.
-    const std::uint64_t *base =
-        keys_.data() + static_cast<std::size_t>(set) * assoc_;
+    // __int128 already needs one of them. Lanes past the set's last
+    // tag read its stamps, its frames or the pad, and are masked off.
     typedef std::uint64_t KeyVec __attribute__((vector_size(32)));
     const KeyVec probe = {key, key, key, key};
     for (std::uint32_t w = 0; w < assoc_; w += 4) {
         KeyVec lanes;
-        std::memcpy(&lanes, base + w, sizeof(lanes));
+        std::memcpy(&lanes, tags + w, sizeof(lanes));
         auto eq = lanes == probe; // matching lanes read all-ones
         auto mask = static_cast<unsigned>(
             (eq[0] & 1) | (eq[1] & 2) | (eq[2] & 4) | (eq[3] & 8));
@@ -103,80 +103,95 @@ SetAssocTlb::findWay(std::uint32_t set, std::uint64_t key) const
     return -1;
 }
 
-int
-SetAssocTlb::findIndex(ContextId ctx, PageNum vpn, PageSize size) const
+std::uint64_t *
+SetAssocTlb::findTag(ContextId ctx, PageNum vpn, PageSize size) const
 {
-    if (outOfTagRange(ctx, vpn))
-        return -1; // unpackable, so insert() can never have stored it
-    std::uint32_t set = setIndex(vpn, size);
-    int way = findWay(set, packKey(ctx, vpn, size));
-    if (way < 0)
-        return -1;
-    return static_cast<int>(set * assoc_) + way;
+    // An empty array answers before hashing; an unpackable tag can
+    // never have been stored by insert().
+    if (validCount_ == 0 || outOfTagRange(ctx, vpn))
+        return nullptr;
+    std::uint64_t *tags = block(setIndex(vpn, size));
+    int way = findWay(tags, packKey(ctx, vpn, size));
+    return way < 0 ? nullptr : tags + way;
+}
+
+std::uint64_t *
+SetAssocTlb::findAnySize(ContextId ctx, Addr vaddr) const
+{
+    // One pipelined array read probes all granularities, in increasing
+    // page-size order.
+    for (PageSize size :
+         {PageSize::FourKB, PageSize::TwoMB, PageSize::OneGB})
+        if (std::uint64_t *tag =
+                findTag(ctx, pageNumber(vaddr, size), size))
+            return tag;
+    return nullptr;
 }
 
 std::uint32_t
-SetAssocTlb::victimWay(std::uint32_t set) const
+SetAssocTlb::victimWay(const std::uint64_t *stamps) const
 {
     // Branchless strict min-scan: empty ways hold stamp 0 and valid
     // ways hold distinct stamps >= 1, so the scan lands on the first
     // empty way when one exists and on the unique LRU way otherwise --
     // the same victim the old first-invalid-else-LRU loop chose.
-    const std::uint64_t *use =
-        lastUse_.data() + static_cast<std::size_t>(set) * assoc_;
     std::uint32_t victim = 0;
-    std::uint64_t best = use[0];
+    std::uint64_t best = stamps[0];
     for (std::uint32_t way = 1; way < assoc_; ++way) {
-        bool earlier = use[way] < best;
+        bool earlier = stamps[way] < best;
         victim = earlier ? way : victim;
-        best = earlier ? use[way] : best;
+        best = earlier ? stamps[way] : best;
     }
     return victim;
 }
 
-const TlbEntry *
-SetAssocTlb::lookup(ContextId ctx, PageNum vpn, PageSize size)
+void
+SetAssocTlb::touchWay(std::uint64_t *tag)
 {
-    int index = findIndex(ctx, vpn, size);
-    if (index < 0) {
-        ++misses;
-        return nullptr;
-    }
-    ++hits;
-    TlbEntry &entry = payload_[static_cast<std::size_t>(index)];
-    if (entry.prefetched) {
-        ++prefetchHits;
-        entry.prefetched = false;
-    }
-    lastUse_[static_cast<std::size_t>(index)] = ++lruClock_;
-    return &entry;
+    tag[2 * assoc_] &= ~prefetchedBit;
+    tag[assoc_] = ++lruClock_;
 }
 
-const TlbEntry *
-SetAssocTlb::lookupAnySize(ContextId ctx, Addr vaddr)
+void
+SetAssocTlb::demandHit(std::uint64_t *tag)
 {
-    // One pipelined array read probes all granularities; only count one
-    // access. Probe in increasing page-size order.
-    static constexpr PageSize sizes[] = {PageSize::FourKB, PageSize::TwoMB,
-                                         PageSize::OneGB};
-    for (PageSize size : sizes) {
-        int index = findIndex(ctx, pageNumber(vaddr, size), size);
-        if (index >= 0) {
-            ++hits;
-            TlbEntry &entry = payload_[static_cast<std::size_t>(index)];
-            if (entry.prefetched) {
-                ++prefetchHits;
-                entry.prefetched = false;
-            }
-            lastUse_[static_cast<std::size_t>(index)] = ++lruClock_;
-            return &entry;
-        }
+    ++hits;
+    if (tag[2 * assoc_] & prefetchedBit)
+        ++prefetchHits;
+    touchWay(tag);
+}
+
+bool
+SetAssocTlb::lookup(ContextId ctx, PageNum vpn, PageSize size)
+{
+    std::uint64_t *tag = findTag(ctx, vpn, size);
+    if (!tag) {
+        ++misses;
+        return false;
     }
-    ++misses;
-    return nullptr;
+    demandHit(tag);
+    return true;
 }
 
 std::optional<TlbEntry>
+SetAssocTlb::lookupAnySize(ContextId ctx, Addr vaddr)
+{
+    std::uint64_t *tag = findAnySize(ctx, vaddr);
+    if (!tag) {
+        ++misses;
+        return std::nullopt;
+    }
+    demandHit(tag);
+    TlbEntry entry;
+    entry.valid = true;
+    entry.vpn = *tag >> 18;
+    entry.ctx = static_cast<ContextId>((*tag >> 2) & maxCtx);
+    entry.size = static_cast<PageSize>(*tag & 3);
+    entry.ppn = tag[2 * assoc_]; // demandHit() cleared the mark
+    return entry;
+}
+
+void
 SetAssocTlb::insert(const TlbEntry &entry)
 {
     if (!entry.valid)
@@ -185,75 +200,60 @@ SetAssocTlb::insert(const TlbEntry &entry)
         fatal("TLB entry (ctx ", entry.ctx, ", vpn ", entry.vpn,
               ") exceeds the packed tag's field widths (ctx <= ",
               maxCtx, ", vpn <= ", maxVpn, ")");
+    if (entry.ppn & prefetchedBit)
+        fatal("TLB entry (ctx ", entry.ctx, ", vpn ", entry.vpn,
+              ") has ppn ", entry.ppn,
+              ", whose bit 63 the frame word keeps for the prefetched "
+              "mark");
     ++insertions;
 
-    std::uint32_t set = setIndex(entry.vpn, entry.size);
+    std::uint64_t *tags = block(setIndex(entry.vpn, entry.size));
     std::uint64_t key = packKey(entry.ctx, entry.vpn, entry.size);
+    std::uint64_t frame =
+        entry.ppn | (entry.prefetched ? prefetchedBit : 0);
 
-    // Refresh in place if already present (e.g. racing fills).
-    if (int way = findWay(set, key); way >= 0) {
-        std::size_t index = static_cast<std::size_t>(set) * assoc_ +
-                            static_cast<std::uint32_t>(way);
-        TlbEntry &existing = payload_[index];
-        bool was_prefetched = existing.prefetched && entry.prefetched;
-        existing = entry;
-        existing.prefetched = was_prefetched;
-        existing.lastUse = ++lruClock_;
-        lastUse_[index] = existing.lastUse;
-        return std::nullopt;
+    // Refresh in place if already present (e.g. racing fills); the
+    // prefetched mark survives only a prefetch over a prefetch.
+    int way = findWay(tags, key);
+    if (way >= 0) {
+        std::uint64_t &old = tags[2 * assoc_ + way];
+        old = (old & prefetchedBit & frame) | entry.ppn;
+        tags[assoc_ + way] = ++lruClock_;
+        return;
     }
 
-    std::uint32_t way = victimWay(set);
-    std::size_t index = static_cast<std::size_t>(set) * assoc_ + way;
-
-    std::optional<TlbEntry> evicted;
-    if (keys_[index] != invalidKey) {
+    way = static_cast<int>(victimWay(tags + assoc_));
+    if (tags[way] != invalidKey)
         ++evictions;
-        evicted = payload_[index];
-    } else {
+    else
         ++validCount_;
-    }
-    keys_[index] = key;
-    payload_[index] = entry;
-    payload_[index].lastUse = ++lruClock_;
-    lastUse_[index] = payload_[index].lastUse;
-    return evicted;
+    tags[way] = key;
+    tags[assoc_ + way] = ++lruClock_;
+    tags[2 * assoc_ + way] = frame;
 }
 
 bool
 SetAssocTlb::present(ContextId ctx, PageNum vpn, PageSize size) const
 {
-    return findIndex(ctx, vpn, size) >= 0;
+    return findTag(ctx, vpn, size) != nullptr;
 }
 
-const TlbEntry *
+bool
 SetAssocTlb::touch(ContextId ctx, PageNum vpn, PageSize size)
 {
-    int index = findIndex(ctx, vpn, size);
-    if (index < 0)
-        return nullptr;
-    TlbEntry &entry = payload_[static_cast<std::size_t>(index)];
-    entry.prefetched = false;
-    lastUse_[static_cast<std::size_t>(index)] = ++lruClock_;
-    return &entry;
+    std::uint64_t *tag = findTag(ctx, vpn, size);
+    if (tag)
+        touchWay(tag);
+    return tag != nullptr;
 }
 
-const TlbEntry *
+bool
 SetAssocTlb::touchAnySize(ContextId ctx, Addr vaddr)
 {
-    static constexpr PageSize sizes[] = {PageSize::FourKB,
-                                         PageSize::TwoMB,
-                                         PageSize::OneGB};
-    for (PageSize size : sizes) {
-        int index = findIndex(ctx, pageNumber(vaddr, size), size);
-        if (index >= 0) {
-            TlbEntry &entry = payload_[static_cast<std::size_t>(index)];
-            entry.prefetched = false;
-            lastUse_[static_cast<std::size_t>(index)] = ++lruClock_;
-            return &entry;
-        }
-    }
-    return nullptr;
+    std::uint64_t *tag = findAnySize(ctx, vaddr);
+    if (tag)
+        touchWay(tag);
+    return tag != nullptr;
 }
 
 void
@@ -263,18 +263,8 @@ SetAssocTlb::saveState(sim::CkptWriter &w) const
     w.u32(assoc_);
     w.u64(lruClock_);
     w.u64(validCount_);
-    for (std::size_t i = 0; i < numEntries_; ++i) {
-        w.u64(keys_[i]);
-        w.u64(lastUse_[i]);
-        const TlbEntry &e = payload_[i];
-        w.u8(e.valid ? 1 : 0);
-        w.u64(e.vpn);
-        w.u64(e.ppn);
-        w.u64(e.ctx);
-        w.u8(static_cast<std::uint8_t>(e.size));
-        w.u64(e.lastUse);
-        w.u8(e.prefetched ? 1 : 0);
-    }
+    for (std::size_t i = 0; i < std::size_t{3} * numEntries_; ++i)
+        w.u64(words_[i]);
 }
 
 void
@@ -288,41 +278,40 @@ SetAssocTlb::restoreState(sim::CkptReader &r)
               assoc_);
     lruClock_ = r.u64();
     validCount_ = r.u64();
-    for (std::size_t i = 0; i < numEntries_; ++i) {
-        keys_[i] = r.u64();
-        lastUse_[i] = r.u64();
-        TlbEntry &e = payload_[i];
-        e.valid = r.u8() != 0;
-        e.vpn = r.u64();
-        e.ppn = r.u64();
-        e.ctx = static_cast<ContextId>(r.u64());
-        e.size = static_cast<PageSize>(r.u8());
-        e.lastUse = r.u64();
-        e.prefetched = r.u8() != 0;
-    }
+    for (std::size_t i = 0; i < std::size_t{3} * numEntries_; ++i)
+        words_[i] = r.u64();
 }
 
 std::size_t
 SetAssocTlb::memoryBytes() const
 {
-    return keys_.capacity() * sizeof(std::uint64_t) +
-           lastUse_.capacity() * sizeof(std::uint64_t) +
-           payload_.capacity() * sizeof(TlbEntry);
+    return (std::size_t{3} * numEntries_ + padWords) *
+           sizeof(std::uint64_t);
 }
 
 bool
 SetAssocTlb::invalidate(ContextId ctx, PageNum vpn, PageSize size)
 {
-    int index = findIndex(ctx, vpn, size);
-    if (index < 0)
+    std::uint64_t *tag = findTag(ctx, vpn, size);
+    if (!tag)
         return false;
-    auto i = static_cast<std::size_t>(index);
-    keys_[i] = invalidKey;
-    lastUse_[i] = 0;
-    payload_[i].valid = false;
+    *tag = invalidKey;
+    tag[assoc_] = 0;
+    tag[2 * assoc_] = 0;
     --validCount_;
     ++invalidations;
     return true;
+}
+
+void
+SetAssocTlb::clear()
+{
+    for (std::uint32_t set = 0; set < numSets_; ++set) {
+        std::uint64_t *tags = block(set);
+        std::fill_n(tags, assoc_, invalidKey);
+        std::fill_n(tags + assoc_, 2 * assoc_, std::uint64_t{0});
+    }
+    validCount_ = 0;
 }
 
 std::uint64_t
@@ -331,11 +320,7 @@ SetAssocTlb::invalidateAll()
     if (validCount_ == 0)
         return 0;
     std::uint64_t count = validCount_;
-    std::fill(keys_.begin(), keys_.end(), invalidKey);
-    std::fill(lastUse_.begin(), lastUse_.end(), 0);
-    for (TlbEntry &entry : payload_)
-        entry.valid = false;
-    validCount_ = 0;
+    clear();
     invalidations += static_cast<double>(count);
     return count;
 }

@@ -4,23 +4,24 @@
  * modulo-indexing on the low-order virtual page number bits (paper
  * §III-E), supporting mixed page sizes in one array via per-size probes.
  *
- * Storage is structure-of-arrays: tags live in a packed 64-bit key
- * array ((vpn, ctx, size) folded into one word, all-ones = invalid)
- * compared across all ways with portable SIMD, recency in a parallel
- * lastUse array scanned branchlessly for victims, and the full
- * TlbEntry payload in a third parallel array touched only on hits.
- * A set's four tags span one 32-byte vector load instead of four
- * 40-byte struct probes, which is where most of the lookup time of
- * the scalar array-of-structs layout went.
+ * Storage is one 64-byte-aligned array of set blocks. A set's block
+ * holds its ways' packed tags ((vpn, ctx, size) folded into one word,
+ * all-ones = invalid), then their LRU stamps, then their frame words
+ * (the ppn, with the prefetched mark in bit 63): 24 bytes per way.
+ * The tags are compared across all ways with portable SIMD, and the
+ * stamps are scanned branchlessly for victims. A hit reads its frame
+ * only to consume the prefetched mark; lookupAnySize() alone rebuilds
+ * a TlbEntry, from the tag and the frame.
  */
 
 #ifndef NOCSTAR_TLB_SET_ASSOC_TLB_HH
 #define NOCSTAR_TLB_SET_ASSOC_TLB_HH
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "sim/checkpoint.hh"
 #include "sim/stats.hh"
@@ -50,23 +51,25 @@ class SetAssocTlb : public stats::StatGroup
 
     /**
      * Demand probe for a translation of a specific page size: counts a
-     * hit or miss and refreshes recency on a hit.
-     * @return the matching entry, or nullptr.
+     * hit or miss, and on a hit refreshes recency and consumes the
+     * prefetched mark.
+     * @return true on a hit.
      */
-    const TlbEntry *lookup(ContextId ctx, PageNum vpn, PageSize size);
+    bool lookup(ContextId ctx, PageNum vpn, PageSize size);
 
     /**
      * Probe for @p vaddr trying 4 KB then 2 MB then 1 GB granularity.
      * Counts a single access (one pipelined SRAM read).
+     * @return the hit translation, rebuilt from its tag and frame.
      */
-    const TlbEntry *lookupAnySize(ContextId ctx, Addr vaddr);
+    std::optional<TlbEntry> lookupAnySize(ContextId ctx, Addr vaddr);
 
     /**
      * Insert a translation, evicting the set's LRU entry if needed.
      * Re-inserting an existing translation refreshes it in place.
-     * @return the evicted valid entry, if any.
+     * A ppn with bit 63 set is fatal: that bit marks prefetched frames.
      */
-    std::optional<TlbEntry> insert(const TlbEntry &entry);
+    void insert(const TlbEntry &entry);
 
     /**
      * Non-statistical presence check (prefetch filtering, snoops);
@@ -76,18 +79,18 @@ class SetAssocTlb : public stats::StatGroup
 
     /**
      * Functional-warming probe: behaves like a demand lookup for the
-     * array *state* (refreshes recency, consumes the prefetched bit)
+     * array *state* (refreshes recency, consumes the prefetched mark)
      * but counts nothing, so fast-forwarded accesses leave every
      * RunResult-visible statistic untouched.
      */
-    const TlbEntry *touch(ContextId ctx, PageNum vpn, PageSize size);
+    bool touch(ContextId ctx, PageNum vpn, PageSize size);
 
     /** Functional-warming counterpart of lookupAnySize(). */
-    const TlbEntry *touchAnySize(ContextId ctx, Addr vaddr);
+    bool touchAnySize(ContextId ctx, Addr vaddr);
 
     /**
-     * Serialize the mutable array state (tags, recency, payloads,
-     * LRU clock) to @p w. Geometry is written first and checked on
+     * Serialize the mutable array state (the set blocks and the LRU
+     * clock) to @p w. Geometry is written first and checked on
      * restore, so a checkpoint never lands in a mismatched array.
      */
     void saveState(sim::CkptWriter &w) const;
@@ -95,7 +98,7 @@ class SetAssocTlb : public stats::StatGroup
     /** Restore state captured by saveState(). */
     void restoreState(sim::CkptReader &r);
 
-    /** Resident bytes of the SoA storage (memory audit). */
+    /** Resident bytes of the set blocks and their pad (memory audit). */
     std::size_t memoryBytes() const;
 
     /** Invalidate one translation. @return true if it was present. */
@@ -135,6 +138,15 @@ class SetAssocTlb : public stats::StatGroup
      */
     static constexpr std::uint64_t invalidKey = ~std::uint64_t{0};
 
+    /** Frame-word bit marking a prefetched, never-demanded entry. */
+    static constexpr std::uint64_t prefetchedBit = std::uint64_t{1} << 63;
+
+    /**
+     * Words past the last block, so every 4-lane tag load stays inside
+     * the allocation (a 1-way array's last load reads past its block).
+     */
+    static constexpr std::size_t padWords = 3;
+
     static std::uint64_t
     packKey(ContextId ctx, PageNum vpn, PageSize size)
     {
@@ -153,14 +165,47 @@ class SetAssocTlb : public stats::StatGroup
     /** Set index for (vpn, size): modulo indexing on low VPN bits. */
     std::uint32_t setIndex(PageNum vpn, PageSize size) const;
 
-    /** Way holding @p key within @p set, or -1. */
-    int findWay(std::uint32_t set, std::uint64_t key) const;
+    /** First word (way 0's tag) of @p set's block. */
+    std::uint64_t *
+    block(std::uint32_t set) const
+    {
+        return words_.get() + static_cast<std::size_t>(set) * assoc_ * 3;
+    }
 
-    /** Index into the parallel arrays of (set, way), or -1. */
-    int findIndex(ContextId ctx, PageNum vpn, PageSize size) const;
+    /** Way of the block at @p tags whose tag is @p key, or -1. */
+    int findWay(const std::uint64_t *tags, std::uint64_t key) const;
 
-    /** The set's replacement victim: first empty way, else true LRU. */
-    std::uint32_t victimWay(std::uint32_t set) const;
+    /**
+     * Tag word of the way holding (ctx, vpn, size), or nullptr. The
+     * way's stamp sits assoc_ words after it and its frame 2 * assoc_.
+     */
+    std::uint64_t *findTag(ContextId ctx, PageNum vpn,
+                           PageSize size) const;
+
+    /** findTag() for @p vaddr at 4 KB, then 2 MB, then 1 GB. */
+    std::uint64_t *findAnySize(ContextId ctx, Addr vaddr) const;
+
+    /** Refresh a hit way's recency and clear its prefetched mark. */
+    void touchWay(std::uint64_t *tag);
+
+    /** Count a demand hit (and a prefetched one), then touchWay(). */
+    void demandHit(std::uint64_t *tag);
+
+    /** Replacement victim among @p stamps: first empty way, else LRU. */
+    std::uint32_t victimWay(const std::uint64_t *stamps) const;
+
+    /** Empty every way: all-ones tags, zero stamps and frames. */
+    void clear();
+
+    /** Frees words_ with the delete matching its 64-byte alignment. */
+    struct AlignedDelete
+    {
+        void
+        operator()(std::uint64_t *words) const
+        {
+            ::operator delete[](words, std::align_val_t{64});
+        }
+    };
 
     std::uint32_t numEntries_;
     std::uint32_t assoc_;
@@ -177,18 +222,13 @@ class SetAssocTlb : public stats::StatGroup
     std::uint64_t lruClock_ = 0;
     std::uint64_t validCount_ = 0;
     /**
-     * Packed tags, padded with 3 trailing invalid slots so the last
-     * set's 4-lane vector load never reads past the allocation.
-     */
-    std::vector<std::uint64_t> keys_;
-    /**
-     * LRU stamps; empty ways hold 0 and valid ways hold >= 1, so one
+     * The set blocks, then padWords all-ones words. Each block is
+     * assoc_ tags, assoc_ LRU stamps and assoc_ frames. Empty ways
+     * hold stamp 0 and valid ways hold distinct stamps >= 1, so one
      * strict min-scan picks the first empty way when any exists and
      * the unique least-recently-used way otherwise.
      */
-    std::vector<std::uint64_t> lastUse_;
-    /** Full entries, indexed like keys_; read only on hits. */
-    std::vector<TlbEntry> payload_;
+    std::unique_ptr<std::uint64_t[], AlignedDelete> words_;
 };
 
 } // namespace nocstar::tlb

@@ -16,7 +16,11 @@
 namespace nocstar::tlb
 {
 
-/** One translation as stored in an L1 TLB or L2 TLB slice. */
+/**
+ * One translation as handed to or rebuilt from an L1 TLB or L2 TLB
+ * slice. The arrays themselves store it as a packed tag and a frame
+ * word (SetAssocTlb).
+ */
 struct TlbEntry
 {
     bool valid = false;
@@ -27,17 +31,8 @@ struct TlbEntry
     /** Address-space identifier of the owning process. */
     ContextId ctx = 0;
     PageSize size = PageSize::FourKB;
-    /** LRU timestamp maintained by the containing array. */
-    std::uint64_t lastUse = 0;
     /** True if brought in by the prefetcher and never yet demanded. */
     bool prefetched = false;
-
-    /** @return true if this entry translates (@p c, @p v, @p s). */
-    bool
-    matches(ContextId c, PageNum v, PageSize s) const
-    {
-        return valid && ctx == c && vpn == v && size == s;
-    }
 };
 
 } // namespace nocstar::tlb

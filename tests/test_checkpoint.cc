@@ -265,6 +265,33 @@ TEST(Checkpoint, DamagedFilesAreRejected)
     std::remove(path.c_str());
 }
 
+TEST(Checkpoint, VersionOneFilesAreRefused)
+{
+    // Version 1 stored each TLB way as a tag, a stamp and a full
+    // entry; this build reads only the set-block words of version 2.
+    const std::string path = ckptPath("version1");
+    SystemConfig save_config = smallConfig(core::OrgKind::Nocstar);
+    save_config.checkpointSavePath = path;
+    System(save_config).run(1000);
+    std::vector<std::uint8_t> file = readFile(path);
+    ASSERT_GT(file.size(), 8u);
+    EXPECT_EQ(file[4], sim::kCheckpointVersion);
+    file[4] = 1; // little-endian u32 at offset 4; its upper bytes are 0
+    writeFile(path, file);
+
+    SystemConfig config = smallConfig(core::OrgKind::Nocstar);
+    config.checkpointRestorePath = path;
+    try {
+        System(config).run(1000);
+        FAIL() << "version-1 checkpoint not rejected";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("format version 1 "),
+                  std::string::npos)
+            << err.what();
+    }
+    std::remove(path.c_str());
+}
+
 TEST(Checkpoint, ConfigFingerprintMismatchIsRejected)
 {
     const std::string path = ckptPath("fingerprint");

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <optional>
 
 #include "sim/random.hh"
 #include "tlb/l1_tlb.hh"
@@ -38,13 +38,14 @@ TEST(SetAssocTlb, MissThenHit)
 {
     stats::StatGroup g("g");
     SetAssocTlb tlb("t", 64, 4, &g);
-    EXPECT_EQ(tlb.lookup(1, 42, PageSize::FourKB), nullptr);
+    EXPECT_FALSE(tlb.lookup(1, 42, PageSize::FourKB));
     tlb.insert(entry(1, 42));
-    const TlbEntry *hit = tlb.lookup(1, 42, PageSize::FourKB);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->ppn, 1042u);
+    EXPECT_TRUE(tlb.lookup(1, 42, PageSize::FourKB));
     EXPECT_EQ(tlb.hits.value(), 1.0);
     EXPECT_EQ(tlb.misses.value(), 1.0);
+    std::optional<TlbEntry> hit = tlb.lookupAnySize(1, Addr{42} << 12);
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(hit->ppn, 1042u);
 }
 
 TEST(SetAssocTlb, ContextIsolation)
@@ -52,8 +53,8 @@ TEST(SetAssocTlb, ContextIsolation)
     stats::StatGroup g("g");
     SetAssocTlb tlb("t", 64, 4, &g);
     tlb.insert(entry(1, 42));
-    EXPECT_EQ(tlb.lookup(2, 42, PageSize::FourKB), nullptr);
-    EXPECT_NE(tlb.lookup(1, 42, PageSize::FourKB), nullptr);
+    EXPECT_FALSE(tlb.lookup(2, 42, PageSize::FourKB));
+    EXPECT_TRUE(tlb.lookup(1, 42, PageSize::FourKB));
 }
 
 TEST(SetAssocTlb, PageSizeIsolation)
@@ -61,7 +62,7 @@ TEST(SetAssocTlb, PageSizeIsolation)
     stats::StatGroup g("g");
     SetAssocTlb tlb("t", 64, 4, &g);
     tlb.insert(entry(1, 42, PageSize::FourKB));
-    EXPECT_EQ(tlb.lookup(1, 42, PageSize::TwoMB), nullptr);
+    EXPECT_FALSE(tlb.lookup(1, 42, PageSize::TwoMB));
 }
 
 TEST(SetAssocTlb, LruEvictsLeastRecentlyUsed)
@@ -72,12 +73,11 @@ TEST(SetAssocTlb, LruEvictsLeastRecentlyUsed)
     tlb.insert(entry(1, 10));
     tlb.insert(entry(1, 20));
     // Touch 10 so 20 becomes LRU.
-    EXPECT_NE(tlb.lookup(1, 10, PageSize::FourKB), nullptr);
-    auto evicted = tlb.insert(entry(1, 30));
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(evicted->vpn, 20u);
-    EXPECT_NE(tlb.lookup(1, 10, PageSize::FourKB), nullptr);
-    EXPECT_EQ(tlb.lookup(1, 20, PageSize::FourKB), nullptr);
+    EXPECT_TRUE(tlb.lookup(1, 10, PageSize::FourKB));
+    tlb.insert(entry(1, 30));
+    EXPECT_EQ(tlb.evictions.value(), 1.0);
+    EXPECT_TRUE(tlb.lookup(1, 10, PageSize::FourKB));
+    EXPECT_FALSE(tlb.lookup(1, 20, PageSize::FourKB));
 }
 
 TEST(SetAssocTlb, ReinsertRefreshesInPlace)
@@ -85,9 +85,9 @@ TEST(SetAssocTlb, ReinsertRefreshesInPlace)
     stats::StatGroup g("g");
     SetAssocTlb tlb("t", 8, 8, &g);
     tlb.insert(entry(1, 5, PageSize::FourKB, 100));
-    auto evicted = tlb.insert(entry(1, 5, PageSize::FourKB, 200));
-    EXPECT_FALSE(evicted.has_value());
-    EXPECT_EQ(tlb.lookup(1, 5, PageSize::FourKB)->ppn, 200u);
+    tlb.insert(entry(1, 5, PageSize::FourKB, 200));
+    EXPECT_EQ(tlb.evictions.value(), 0.0);
+    EXPECT_EQ(tlb.lookupAnySize(1, Addr{5} << 12)->ppn, 200u);
     EXPECT_EQ(tlb.occupancy(), 1u);
 }
 
@@ -98,7 +98,7 @@ TEST(SetAssocTlb, InvalidateSingleEntry)
     tlb.insert(entry(1, 7));
     EXPECT_TRUE(tlb.invalidate(1, 7, PageSize::FourKB));
     EXPECT_FALSE(tlb.invalidate(1, 7, PageSize::FourKB));
-    EXPECT_EQ(tlb.lookup(1, 7, PageSize::FourKB), nullptr);
+    EXPECT_FALSE(tlb.lookup(1, 7, PageSize::FourKB));
     EXPECT_EQ(tlb.invalidations.value(), 1.0);
 }
 
@@ -113,6 +113,26 @@ TEST(SetAssocTlb, InvalidateAll)
     EXPECT_EQ(tlb.occupancy(), 15u);
     EXPECT_EQ(tlb.invalidateAll(), 15u);
     EXPECT_EQ(tlb.occupancy(), 0u);
+}
+
+TEST(SetAssocTlb, EmptyArrayMissesAndCountsTheMiss)
+{
+    stats::StatGroup g("g");
+    SetAssocTlb tlb("t", 64, 4, &g);
+    EXPECT_FALSE(tlb.lookup(1, 42, PageSize::FourKB));
+    EXPECT_FALSE(tlb.lookupAnySize(1, Addr{42} << 12));
+    EXPECT_FALSE(tlb.touch(1, 42, PageSize::FourKB));
+    EXPECT_FALSE(tlb.touchAnySize(1, Addr{42} << 12));
+    EXPECT_FALSE(tlb.present(1, 42, PageSize::FourKB));
+    EXPECT_FALSE(tlb.invalidate(1, 42, PageSize::FourKB));
+    EXPECT_EQ(tlb.misses.value(), 2.0);
+
+    // Emptied again by an invalidation, it still counts its misses.
+    tlb.insert(entry(1, 42));
+    EXPECT_TRUE(tlb.invalidate(1, 42, PageSize::FourKB));
+    EXPECT_FALSE(tlb.lookup(1, 42, PageSize::FourKB));
+    EXPECT_EQ(tlb.misses.value(), 3.0);
+    EXPECT_EQ(tlb.hits.value(), 0.0);
 }
 
 TEST(SetAssocTlb, PresentDoesNotPerturbStats)
@@ -145,8 +165,8 @@ TEST(SetAssocTlb, LookupAnySizeFindsLargerPages)
     Addr vaddr = 0x40000000; // 1 GB aligned
     tlb.insert(entry(1, pageNumber(vaddr, PageSize::TwoMB),
                      PageSize::TwoMB));
-    const TlbEntry *hit = tlb.lookupAnySize(1, vaddr + 0x1234);
-    ASSERT_NE(hit, nullptr);
+    std::optional<TlbEntry> hit = tlb.lookupAnySize(1, vaddr + 0x1234);
+    ASSERT_TRUE(hit);
     EXPECT_EQ(hit->size, PageSize::TwoMB);
 }
 
@@ -239,10 +259,23 @@ TEST(L1TlbGroup, RoutesBySizeAndScales)
 
     l1.insert(entry(1, 10, PageSize::FourKB));
     l1.insert(entry(1, 10, PageSize::TwoMB));
-    EXPECT_NE(l1.lookup(1, 10, PageSize::FourKB), nullptr);
-    EXPECT_NE(l1.lookup(1, 10, PageSize::TwoMB), nullptr);
-    EXPECT_EQ(l1.demandAccesses(), 2u);
-    EXPECT_EQ(l1.demandMisses(), 0u);
+    EXPECT_TRUE(l1.lookup(1, 10, PageSize::FourKB));
+    EXPECT_TRUE(l1.lookup(1, 10, PageSize::TwoMB));
+    double accesses = 0;
+    double misses = 0;
+    for (PageSize size :
+         {PageSize::FourKB, PageSize::TwoMB, PageSize::OneGB}) {
+        const SetAssocTlb &array = l1.arrayFor(size);
+        accesses += array.hits.value() + array.misses.value();
+        misses += array.misses.value();
+    }
+    EXPECT_EQ(accesses, 2.0);
+    EXPECT_EQ(misses, 0.0);
+
+    // The stat-free probe names the array that holds the translation.
+    Addr vaddr = Addr{10} << pageShift(PageSize::TwoMB);
+    EXPECT_EQ(l1.touchAnySize(1, vaddr), &l1.arrayFor(PageSize::TwoMB));
+    EXPECT_EQ(l1.touchAnySize(2, vaddr), nullptr);
 }
 
 TEST(L1TlbGroup, InvalidateAllFlushesEverySize)
@@ -253,7 +286,7 @@ TEST(L1TlbGroup, InvalidateAllFlushesEverySize)
     l1.insert(entry(1, 2, PageSize::TwoMB));
     l1.insert(entry(1, 3, PageSize::OneGB));
     EXPECT_EQ(l1.invalidateAll(), 3u);
-    EXPECT_EQ(l1.lookup(1, 1, PageSize::FourKB), nullptr);
+    EXPECT_FALSE(l1.lookup(1, 1, PageSize::FourKB));
 }
 
 TEST(L1TlbGroup, ScaleKeepsWholeSets)

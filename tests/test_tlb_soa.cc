@@ -1,12 +1,12 @@
 /**
  * @file
- * Differential test for the structure-of-arrays SetAssocTlb: drives
- * identical randomized lookup/insert/evict/invalidate sequences
- * through the pre-SoA array-of-structs implementation (kept here as
- * the executable reference) and the production array, and demands
- * byte-for-byte agreement on every observable: hit/miss outcomes,
- * returned translations, evicted entries, invalidation counts,
- * occupancy and all statistics.
+ * Differential test for the set-block SetAssocTlb: drives identical
+ * randomized lookup/insert/evict/invalidate sequences through the old
+ * array-of-structs implementation (kept here as the executable
+ * reference, with its own LRU stamps) and the production array, and
+ * demands agreement on every observable: hit/miss outcomes, rebuilt
+ * translations, evictions, invalidation counts, occupancy and all
+ * statistics.
  */
 
 #include <gtest/gtest.h>
@@ -25,11 +25,19 @@ using namespace nocstar::tlb;
 namespace
 {
 
+/** @return true if @p e translates (@p c, @p v, @p s). */
+bool
+matches(const TlbEntry &e, ContextId c, PageNum v, PageSize s)
+{
+    return e.valid && e.ctx == c && e.vpn == v && e.size == s;
+}
+
 /**
- * The old array-of-structs SetAssocTlb, verbatim minus the stats
- * plumbing (plain counters instead): scalar per-way tag probes,
- * first-invalid-else-LRU victim selection, full-array invalidation
- * scans. This is the semantic spec the SoA rewrite must match.
+ * The old array-of-structs SetAssocTlb, minus the stats plumbing
+ * (plain counters instead): scalar per-way tag probes, an LRU stamp
+ * per entry, first-invalid-else-LRU victim selection, full-array
+ * invalidation scans. This is the semantic spec the set blocks must
+ * match.
  */
 class ReferenceTlb
 {
@@ -38,10 +46,10 @@ class ReferenceTlb
     {
         if (assoc > entries)
             assoc = entries;
-        numEntries_ = entries;
         assoc_ = assoc;
         numSets_ = entries / assoc;
         entries_.resize(entries);
+        stamps_.resize(entries);
     }
 
     std::uint32_t
@@ -55,117 +63,112 @@ class ReferenceTlb
         return static_cast<std::uint32_t>(x % numSets_);
     }
 
-    TlbEntry *
-    findEntry(ContextId ctx, PageNum vpn, PageSize size)
+    /** Index of the entry translating (ctx, vpn, size), or -1. */
+    int
+    find(ContextId ctx, PageNum vpn, PageSize size) const
     {
-        std::uint32_t set = setIndex(vpn, size);
-        TlbEntry *base =
-            &entries_[static_cast<std::size_t>(set) * assoc_];
+        std::size_t base =
+            static_cast<std::size_t>(setIndex(vpn, size)) * assoc_;
         for (std::uint32_t way = 0; way < assoc_; ++way) {
-            if (base[way].matches(ctx, vpn, size))
-                return &base[way];
+            if (matches(entries_[base + way], ctx, vpn, size))
+                return static_cast<int>(base + way);
         }
-        return nullptr;
+        return -1;
     }
 
-    const TlbEntry *
-    lookup(ContextId ctx, PageNum vpn, PageSize size)
+    /** A demand hit on entry @p i: count it, consume the mark. */
+    TlbEntry
+    demandHit(int i)
     {
-        TlbEntry *entry = findEntry(ctx, vpn, size);
-        if (!entry) {
-            ++misses;
-            return nullptr;
-        }
+        TlbEntry &entry = entries_[static_cast<std::size_t>(i)];
         ++hits;
-        if (entry->prefetched) {
+        if (entry.prefetched) {
             ++prefetchHits;
-            entry->prefetched = false;
+            entry.prefetched = false;
         }
-        entry->lastUse = ++lruClock_;
+        stamps_[static_cast<std::size_t>(i)] = ++lruClock_;
         return entry;
     }
 
-    const TlbEntry *
+    bool
+    lookup(ContextId ctx, PageNum vpn, PageSize size)
+    {
+        int i = find(ctx, vpn, size);
+        if (i < 0) {
+            ++misses;
+            return false;
+        }
+        demandHit(i);
+        return true;
+    }
+
+    std::optional<TlbEntry>
     lookupAnySize(ContextId ctx, Addr vaddr)
     {
         static constexpr PageSize sizes[] = {
             PageSize::FourKB, PageSize::TwoMB, PageSize::OneGB};
         for (PageSize size : sizes) {
-            TlbEntry *entry =
-                findEntry(ctx, pageNumber(vaddr, size), size);
-            if (entry) {
-                ++hits;
-                if (entry->prefetched) {
-                    ++prefetchHits;
-                    entry->prefetched = false;
-                }
-                entry->lastUse = ++lruClock_;
-                return entry;
-            }
+            int i = find(ctx, pageNumber(vaddr, size), size);
+            if (i >= 0)
+                return demandHit(i);
         }
         ++misses;
-        return nullptr;
+        return std::nullopt;
     }
 
+    /** @return the evicted valid entry, if any. */
     std::optional<TlbEntry>
     insert(const TlbEntry &entry)
     {
         ++insertions;
-        if (TlbEntry *existing =
-                findEntry(entry.ctx, entry.vpn, entry.size)) {
+        if (int i = find(entry.ctx, entry.vpn, entry.size); i >= 0) {
+            TlbEntry &existing = entries_[static_cast<std::size_t>(i)];
             bool was_prefetched =
-                existing->prefetched && entry.prefetched;
-            *existing = entry;
-            existing->prefetched = was_prefetched;
-            existing->lastUse = ++lruClock_;
+                existing.prefetched && entry.prefetched;
+            existing = entry;
+            existing.prefetched = was_prefetched;
+            stamps_[static_cast<std::size_t>(i)] = ++lruClock_;
             return std::nullopt;
         }
 
-        std::uint32_t set = setIndex(entry.vpn, entry.size);
-        TlbEntry *base =
-            &entries_[static_cast<std::size_t>(set) * assoc_];
-        TlbEntry *victim = &base[0];
-        for (std::uint32_t way = 0; way < assoc_; ++way) {
-            if (!base[way].valid) {
-                victim = &base[way];
+        std::size_t base =
+            static_cast<std::size_t>(setIndex(entry.vpn, entry.size)) *
+            assoc_;
+        std::size_t victim = base;
+        for (std::size_t i = base; i < base + assoc_; ++i) {
+            if (!entries_[i].valid) {
+                victim = i;
                 break;
             }
-            if (base[way].lastUse < victim->lastUse)
-                victim = &base[way];
+            if (stamps_[i] < stamps_[victim])
+                victim = i;
         }
 
         std::optional<TlbEntry> evicted;
-        if (victim->valid) {
+        if (entries_[victim].valid) {
             ++evictions;
-            evicted = *victim;
+            evicted = entries_[victim];
         }
-        *victim = entry;
-        victim->lastUse = ++lruClock_;
+        entries_[victim] = entry;
+        stamps_[victim] = ++lruClock_;
         return evicted;
     }
 
     bool
-    present(ContextId ctx, PageNum vpn, PageSize size)
+    present(ContextId ctx, PageNum vpn, PageSize size) const
     {
-        std::uint32_t set = setIndex(vpn, size);
-        const TlbEntry *base =
-            &entries_[static_cast<std::size_t>(set) * assoc_];
-        for (std::uint32_t way = 0; way < assoc_; ++way) {
-            if (base[way].matches(ctx, vpn, size))
-                return true;
-        }
-        return false;
+        return find(ctx, vpn, size) >= 0;
     }
 
     bool
     invalidate(ContextId ctx, PageNum vpn, PageSize size)
     {
-        if (TlbEntry *entry = findEntry(ctx, vpn, size)) {
-            entry->valid = false;
-            ++invalidations;
-            return true;
-        }
-        return false;
+        int i = find(ctx, vpn, size);
+        if (i < 0)
+            return false;
+        entries_[static_cast<std::size_t>(i)].valid = false;
+        ++invalidations;
+        return true;
     }
 
     std::uint64_t
@@ -199,20 +202,21 @@ class ReferenceTlb
     std::uint64_t prefetchHits = 0;
 
   private:
-    std::uint32_t numEntries_;
     std::uint32_t assoc_;
     std::uint32_t numSets_;
     std::uint64_t lruClock_ = 0;
     std::vector<TlbEntry> entries_;
+    std::vector<std::uint64_t> stamps_;
 };
 
 void
-expectSameEntry(const TlbEntry *ref, const TlbEntry *soa,
-                std::uint64_t op)
+expectSameEntry(const std::optional<TlbEntry> &ref,
+                const std::optional<TlbEntry> &soa, std::uint64_t op)
 {
-    ASSERT_EQ(ref != nullptr, soa != nullptr) << "op " << op;
+    ASSERT_EQ(ref.has_value(), soa.has_value()) << "op " << op;
     if (!ref)
         return;
+    EXPECT_TRUE(soa->valid) << "op " << op;
     EXPECT_EQ(ref->vpn, soa->vpn) << "op " << op;
     EXPECT_EQ(ref->ppn, soa->ppn) << "op " << op;
     EXPECT_EQ(ref->ctx, soa->ctx) << "op " << op;
@@ -251,8 +255,8 @@ TEST_P(TlbDifferentialTest, RandomizedOpsMatchReference)
         std::uint64_t kind = rng.below(100);
 
         if (kind < 40) {
-            expectSameEntry(ref.lookup(ctx, vpn, size),
-                            soa.lookup(ctx, vpn, size), op);
+            EXPECT_EQ(ref.lookup(ctx, vpn, size),
+                      soa.lookup(ctx, vpn, size)) << "op " << op;
         } else if (kind < 70) {
             TlbEntry entry;
             entry.valid = true;
@@ -261,10 +265,17 @@ TEST_P(TlbDifferentialTest, RandomizedOpsMatchReference)
             entry.ppn = vpn ^ 0x5aa5;
             entry.size = size;
             entry.prefetched = rng.below(4) == 0;
-            std::optional<TlbEntry> re = ref.insert(entry);
-            std::optional<TlbEntry> se = soa.insert(entry);
-            expectSameEntry(re ? &*re : nullptr,
-                            se ? &*se : nullptr, op);
+            std::optional<TlbEntry> evicted = ref.insert(entry);
+            soa.insert(entry);
+            EXPECT_EQ(ref.evictions,
+                      static_cast<std::uint64_t>(soa.evictions.value()))
+                << "op " << op;
+            EXPECT_TRUE(soa.present(ctx, vpn, size)) << "op " << op;
+            if (evicted) {
+                EXPECT_FALSE(soa.present(evicted->ctx, evicted->vpn,
+                                         evicted->size))
+                    << "op " << op;
+            }
         } else if (kind < 80) {
             Addr vaddr = (vpn << pageShift(PageSize::FourKB)) |
                          (rng.below(512) << 3);
@@ -318,8 +329,8 @@ TEST(SetAssocTlbSoa, PackedTagRangeLimitsAreEnforced)
     SetAssocTlb tlb("range_test", 16, 4);
 
     // Out-of-range probes are deterministic misses, never aliases.
-    EXPECT_EQ(tlb.lookup(0, SetAssocTlb::maxVpn + 1,
-                         PageSize::FourKB), nullptr);
+    EXPECT_FALSE(tlb.lookup(0, SetAssocTlb::maxVpn + 1,
+                            PageSize::FourKB));
     EXPECT_FALSE(tlb.present(SetAssocTlb::maxCtx + 1, 1,
                              PageSize::FourKB));
     EXPECT_FALSE(tlb.invalidate(0, SetAssocTlb::maxVpn + 1,
@@ -333,16 +344,71 @@ TEST(SetAssocTlbSoa, PackedTagRangeLimitsAreEnforced)
     entry.ppn = 0x1234;
     entry.size = PageSize::OneGB;
     tlb.insert(entry);
-    const TlbEntry *hit =
-        tlb.lookup(SetAssocTlb::maxCtx, SetAssocTlb::maxVpn,
-                   PageSize::OneGB);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->ppn, 0x1234u);
+    EXPECT_TRUE(tlb.lookup(SetAssocTlb::maxCtx, SetAssocTlb::maxVpn,
+                           PageSize::OneGB));
 
     // Unpackable inserts fail loudly instead of corrupting a tag.
     TlbEntry wide = entry;
     wide.vpn = SetAssocTlb::maxVpn + 1;
     EXPECT_THROW(tlb.insert(wide), FatalError);
+
+    // lookupAnySize() rebuilds exactly what was inserted at the
+    // extremes of every field, for each page size: the largest context
+    // and frame, and the largest VPN a 64-bit address reaches at that
+    // size that the tag can hold. The prefetched mark is consumed by
+    // the first demand hit and counted once.
+    for (PageSize size :
+         {PageSize::FourKB, PageSize::TwoMB, PageSize::OneGB}) {
+        SetAssocTlb any("any_size_test", 16, 4);
+        TlbEntry widest;
+        widest.valid = true;
+        widest.ctx = SetAssocTlb::maxCtx;
+        widest.vpn = std::min(SetAssocTlb::maxVpn,
+                              ~Addr{0} >> pageShift(size));
+        widest.ppn = ~PageNum{0} >> 1;
+        widest.size = size;
+        widest.prefetched = true;
+        any.insert(widest);
+        Addr vaddr = (widest.vpn << pageShift(size)) |
+                     (pageBytes(size) - 1);
+        for (int probe = 0; probe < 2; ++probe) {
+            std::optional<TlbEntry> hit =
+                any.lookupAnySize(SetAssocTlb::maxCtx, vaddr);
+            ASSERT_TRUE(hit);
+            EXPECT_TRUE(hit->valid);
+            EXPECT_EQ(hit->vpn, widest.vpn);
+            EXPECT_EQ(hit->ppn, widest.ppn);
+            EXPECT_EQ(hit->ctx, widest.ctx);
+            EXPECT_EQ(hit->size, size);
+            EXPECT_FALSE(hit->prefetched);
+        }
+        EXPECT_EQ(any.hits.value(), 2.0);
+        EXPECT_EQ(any.prefetchHits.value(), 1.0);
+    }
+}
+
+TEST(SetAssocTlbSoa, FrameBit63IsRefused)
+{
+    // Bit 63 of a frame word is the prefetched mark, so no ppn may set
+    // it; the array stays untouched.
+    SetAssocTlb tlb("frame_test", 16, 4);
+    TlbEntry entry;
+    entry.valid = true;
+    entry.vpn = 7;
+    entry.ppn = PageNum{1} << 63;
+    EXPECT_THROW(tlb.insert(entry), FatalError);
+    EXPECT_EQ(tlb.occupancy(), 0u);
+    EXPECT_EQ(tlb.insertions.value(), 0.0);
+}
+
+TEST(SetAssocTlbSoa, EachWayCosts24BytesPlusThePad)
+{
+    // Tag, LRU stamp and frame: three words per way, plus the three
+    // trailing pad words that keep every 4-lane tag load in bounds.
+    EXPECT_EQ(SetAssocTlb("slice", 920, 8).memoryBytes(),
+              920u * 24 + 3 * 8);
+    EXPECT_EQ(SetAssocTlb("l1_4k", 64, 4).memoryBytes(),
+              64u * 24 + 3 * 8);
 }
 
 TEST(SetAssocTlbSoa, OccupancyIsLiveAndEmptyFlushesShortCircuit)
